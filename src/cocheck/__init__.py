@@ -72,11 +72,8 @@ from .linalg import (
     EchelonSubspace,
     FormalTensor,
     FormalVector,
-    add,
     extract_components,
-    flip,
     membership,
-    tensor,
 )
 from .rules import AffineIndex, DeltaTerm, DerivTerm, Guard, IndexPoly
 from .specfile import dumps_spec, load_spec, loads_spec, save_spec
@@ -110,7 +107,6 @@ __all__ = [
     "SpecError",
     "SpecFileError",
     "Witness",
-    "add",
     "antisymmetrize",
     "apply_d",
     "bimodule_step",
@@ -127,7 +123,6 @@ __all__ = [
     "dual_product",
     "dumps_spec",
     "extract_components",
-    "flip",
     "gelfand_dorfman",
     "generated_subcoalgebra",
     "graded_dual",
@@ -144,7 +139,6 @@ __all__ = [
     "poly",
     "save_spec",
     "simplicity_probe",
-    "tensor",
     "translate",
     "validate_shift_bound",
     "var",

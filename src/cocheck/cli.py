@@ -264,13 +264,28 @@ def parse_label(spec: CoalgebraSpec, text: str):
     return spec.label(fam, index)
 
 
+def _split_checks(text: str) -> list:
+    """Split a --checks list on the commas outside brackets, so a catalog
+    name such as "[[x,y],[z,t]]" stays whole."""
+    names, depth, start = [], 0, 0
+    for j, ch in enumerate(text):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            names.append(text[start:j])
+            start = j + 1
+    names.append(text[start:])
+    return [n.strip() for n in names if n.strip()]
+
+
 def cmd_check(args):
     obj, provenance = _load(args)
     spec = _require_coalgebra(obj)
     catalog = builtin_identities()
     results = []
-    names = [n.strip() for n in args.checks.split(",") if n.strip()]
-    for name in names:
+    for name in _split_checks(args.checks):
         if name == "cocomm":
             results.append(_report_entry(cocommutativity_check(spec, args.max_index)))
         elif name == "coderivation":

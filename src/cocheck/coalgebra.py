@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from .errors import RangeError, SpecError
-from .linalg import BasisLabel, FormalTensor, FormalVector
-from .rules import DeltaTerm, canonical_delta_terms, canonical_deriv_terms
+from .linalg import BasisLabel, FormalTensor, FormalVector, accumulate
+from .rules import canonical_terms
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,11 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdict of a finite-range check with exact witnesses on failure."""
+    """Verdict of a finite-range check with exact witnesses on failure.
+
+    A report over a window that holds no label raises RangeError: a
+    check that scanned nothing is never a pass.
+    """
 
     name: str
     passed: bool
@@ -68,6 +72,10 @@ class CheckReport:
     witnesses: tuple = ()
 
     def __post_init__(self):
+        if not self.checked:
+            raise RangeError(
+                f"{self.name}: the window holds no label, so nothing was checked"
+            )
         if not self.passed and not self.witnesses:
             raise SpecError("failing report must carry a witness")
 
@@ -112,7 +120,7 @@ class CoalgebraSpec:
         delta = {}
         for fam, terms in dict(self.delta).items():
             self._require_family(fam)
-            terms = canonical_delta_terms(terms)
+            terms = canonical_terms(terms)
             for t in terms:
                 self._require_family(t.left_family)
                 self._require_family(t.right_family)
@@ -122,7 +130,7 @@ class CoalgebraSpec:
             cod = {}
             for fam, terms in dict(self.coderivation).items():
                 self._require_family(fam)
-                terms = canonical_deriv_terms(terms)
+                terms = canonical_terms(terms)
                 for t in terms:
                     self._require_family(t.family)
                 cod[fam] = terms
@@ -225,41 +233,28 @@ def delta(spec: CoalgebraSpec, label: BasisLabel) -> FormalTensor:
     if not decl.contains(label.index):
         raise RangeError(f"label {label} outside declared range {decl.range_str()}")
     n = label.index
-    out: dict = {}
+    items = []
     for term in spec.delta.get(label.family, ()):
         if term.guard is not None and not term.guard.matches(n):
             continue
-        if term.sum_upper is None:
-            _emit_delta(spec, out, term, n, 0)
-        else:
-            for i in range(0, n + term.sum_upper + 1):
-                _emit_delta(spec, out, term, n, i)
-    result = FormalTensor(2, out)
+        upper = 0 if term.sum_upper is None else n + term.sum_upper
+        for i in range(upper + 1):
+            c = term.coeff.evaluate(n, i)
+            if c:
+                l = spec.label(term.left_family, term.left_index.evaluate(n, i))
+                r = spec.label(term.right_family, term.right_index.evaluate(n, i))
+                items.append(((l, r), c))
+    result = FormalTensor._merged(2, accumulate({}, items))
     spec._delta_cache[label] = result
     return result
 
 
-def _emit_delta(spec, out, term: DeltaTerm, n: int, i: int):
-    c = term.coeff.evaluate(n, i)
-    if not c:
-        return
-    key = (
-        spec.label(term.left_family, term.left_index.evaluate(n, i)),
-        spec.label(term.right_family, term.right_index.evaluate(n, i)),
-    )
-    s = out.get(key, 0) + c
-    if s:
-        out[key] = s
-    else:
-        del out[key]
-
-
 def delta_linear(spec: CoalgebraSpec, v: FormalVector) -> FormalTensor:
     """Linear extension of the comultiplication to formal vectors."""
-    out = FormalTensor(2)
+    out: dict = {}
     for label, c in v.items():
-        out = out + delta(spec, label).scale(c)
-    return out
+        accumulate(out, ((key, c * c2) for key, c2 in delta(spec, label).items()))
+    return FormalTensor._merged(2, out)
 
 
 def d_label(spec: CoalgebraSpec, label: BasisLabel) -> FormalVector:
@@ -278,20 +273,14 @@ def d_label(spec: CoalgebraSpec, label: BasisLabel) -> FormalVector:
             f"{spec.coderivation_max_index}, got {label}"
         )
     n = label.index
-    out: dict = {}
+    items = []
     for term in spec.coderivation.get(label.family, ()):
         if term.guard is not None and not term.guard.matches(n):
             continue
         c = term.coeff.evaluate(n)
-        if not c:
-            continue
-        key = spec.label(term.family, term.index.evaluate(n))
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    result = FormalVector(out)
+        if c:
+            items.append((spec.label(term.family, term.index.evaluate(n)), c))
+    result = FormalVector._merged(accumulate({}, items))
     spec._d_cache[label] = result
     return result
 
@@ -300,10 +289,10 @@ def apply_d(spec: CoalgebraSpec, v: Union[FormalVector, BasisLabel]) -> FormalVe
     """Linear extension of the coderivation."""
     if isinstance(v, BasisLabel):
         return d_label(spec, v)
-    out = FormalVector()
+    out: dict = {}
     for label, c in v.items():
-        out = out + d_label(spec, label).scale(c)
-    return out
+        accumulate(out, ((m, c * c2) for m, c2 in d_label(spec, label).items()))
+    return FormalVector._merged(out)
 
 
 def _collect(spec, max_index, residual_fn, name) -> CheckReport:
@@ -329,15 +318,11 @@ def coderivation_check(spec: CoalgebraSpec, max_index: int) -> CheckReport:
 
     def residual(label):
         lhs = delta_linear(spec, d_label(spec, label))
-        rhs = FormalTensor(2)
+        rhs: dict = {}
         for (l, r), c in delta(spec, label).items():
-            rhs = rhs + d_label(spec, l).to_tensor().tensor(
-                FormalVector.unit(r).to_tensor()
-            ).scale(c)
-            rhs = rhs + FormalVector.unit(l).to_tensor().tensor(
-                d_label(spec, r).to_tensor()
-            ).scale(c)
-        return lhs - rhs
+            accumulate(rhs, (((m, r), c * cm) for m, cm in d_label(spec, l).items()))
+            accumulate(rhs, (((l, m), c * cm) for m, cm in d_label(spec, r).items()))
+        return lhs - FormalTensor._merged(2, rhs)
 
     return _collect(spec, max_index, residual, "coderivation")
 

@@ -26,7 +26,7 @@ from .coalgebra import (
 )
 from .errors import ShiftBoundError, SpecError
 from .identities import Leaf, NAPoly
-from .linalg import FormalVector
+from .linalg import FormalVector, accumulate
 
 
 def coordinate_functional(spec: CoalgebraSpec, family: str, index: int) -> FormalVector:
@@ -198,20 +198,14 @@ class GrassmannElement:
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict = {}
+        pairs = []
         for (label, mono), c in items:
-            if not c:
-                continue
-            if label.parity != len(mono) % 2:
+            if c and label.parity != len(mono) % 2:
                 raise SpecError(
                     f"term {label} (x) {mono} pairs mismatched parities"
                 )
-            key = (label, tuple(mono))
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+            pairs.append(((label, tuple(mono)), c))
+        acc = accumulate({}, pairs)
         self._terms = {k: acc[k] for k in sorted(acc)}
 
     def items(self):
@@ -224,16 +218,9 @@ class GrassmannElement:
         return isinstance(other, GrassmannElement) and self._terms == other._terms
 
     def __sub__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        result = GrassmannElement()
-        result._terms = {k: out[k] for k in sorted(out)}
-        return result
+        return GrassmannElement(
+            accumulate(dict(self._terms), ((k, -c) for k, c in other._terms.items()))
+        )
 
     def __str__(self):
         if not self._terms:
@@ -283,13 +270,7 @@ def envelope_product(
             if not prod:
                 continue
             c = cu * cv * sign
-            for label, coeff in prod.items():
-                key = (label, mono)
-                s = out.get(key, 0) + c * coeff
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            accumulate(out, (((l2, mono), c * c2) for l2, c2 in prod.items()))
     return GrassmannElement(out)
 
 
@@ -325,13 +306,13 @@ def grassmann_envelope_check(
     coeff_pool = [Fraction(c) for c in (-3, -2, -1, 1, 2, 3)]
 
     def random_element() -> GrassmannElement:
-        terms = {}
+        terms = []
         for labels, monos in ((even_labels, even_monos), (odd_labels, odd_monos)):
             if not labels or not monos:
                 continue
             for _ in range(rng.randint(1, 2)):
                 key = (rng.choice(labels), rng.choice(monos))
-                terms[key] = terms.get(key, 0) + rng.choice(coeff_pool)
+                terms.append((key, rng.choice(coeff_pool)))
         return GrassmannElement(terms)
 
     witnesses = []

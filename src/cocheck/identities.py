@@ -31,7 +31,7 @@ from .coalgebra import (
     delta,
 )
 from .errors import SpecError
-from .linalg import FormalTensor, FormalVector, scalar
+from .linalg import FormalTensor, FormalVector, accumulate, flip_terms, scalar
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,14 @@ class NAPoly:
     __slots__ = ("_terms", "_arity", "_signature")
 
     def __init__(self, terms, signature=None, arity: Optional[int] = None):
-        merged: dict = {}
         order: dict = {}
+        pairs = []
         for coeff, mono in terms:
-            coeff = scalar(coeff)
             key = mono.key()
             order.setdefault(key, mono)
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        cleaned = tuple(
-            (merged[k], order[k]) for k in sorted(merged) if merged[k]
-        )
+            pairs.append((key, scalar(coeff)))
+        merged = accumulate({}, pairs)
+        cleaned = tuple((merged[k], order[k]) for k in sorted(merged))
         slots = {v.slot for _, m in cleaned for v in m.leaves()}
         inferred = max(slots, default=0)
         object.__setattr__(self, "_terms", cleaned)
@@ -279,13 +277,8 @@ class CoidentityMap:
                 t = _apply_step(spec, t, step, prune)
                 if not t:
                     break
-            for key, c in t.items():
-                s = total.get(key, 0) + coeff * c
-                if s:
-                    total[key] = s
-                else:
-                    del total[key]
-        return FormalTensor(self.arity, total)
+            accumulate(total, ((key, coeff * c) for key, c in t.items()))
+        return FormalTensor._merged(self.arity, total)
 
     def describe(self) -> str:
         rendered = []
@@ -317,19 +310,7 @@ class CoidentityMap:
 def _apply_step(spec, t: dict, step, prune: bool) -> dict:
     kind = step[0]
     if kind == "flip":
-        i = step[1] - 1
-        graded = step[2]
-        out: dict = {}
-        for key, c in t.items():
-            swapped = key[:i] + (key[i + 1], key[i]) + key[i + 2 :]
-            if graded and key[i].parity and key[i + 1].parity:
-                c = -c
-            s = out.get(swapped, 0) + c
-            if s:
-                out[swapped] = s
-            else:
-                del out[swapped]
-        return out
+        return dict(flip_terms(t.items(), step[1] - 1, step[2]))
     if kind == "project":
         sig = step[1]
         return {
@@ -338,35 +319,22 @@ def _apply_step(spec, t: dict, step, prune: bool) -> dict:
             if all(p is None or key[j].parity == p for j, p in enumerate(sig))
         }
     pos = step[1] - 1
-    out = {}
     if kind == "delta":
         lreq, rreq = (step[2], step[3]) if prune else (None, None)
-        for key, c in t.items():
-            for (l, r), c2 in delta(spec, key[pos]).items():
-                if lreq is not None and l.parity != lreq:
-                    continue
-                if rreq is not None and r.parity != rreq:
-                    continue
-                new = key[:pos] + (l, r) + key[pos + 1 :]
-                s = out.get(new, 0) + c * c2
-                if s:
-                    out[new] = s
-                else:
-                    del out[new]
-        return out
+        return accumulate({}, (
+            (key[:pos] + (l, r) + key[pos + 1 :], c * c2)
+            for key, c in t.items()
+            for (l, r), c2 in delta(spec, key[pos]).items()
+            if (lreq is None or l.parity == lreq) and (rreq is None or r.parity == rreq)
+        ))
     if kind == "d":
         req = step[2] if prune else None
-        for key, c in t.items():
-            for m, c2 in d_label(spec, key[pos]).items():
-                if req is not None and m.parity != req:
-                    continue
-                new = key[:pos] + (m,) + key[pos + 1 :]
-                s = out.get(new, 0) + c * c2
-                if s:
-                    out[new] = s
-                else:
-                    del out[new]
-        return out
+        return accumulate({}, (
+            (key[:pos] + (m,) + key[pos + 1 :], c * c2)
+            for key, c in t.items()
+            for m, c2 in d_label(spec, key[pos]).items()
+            if req is None or m.parity == req
+        ))
     raise SpecError(f"unknown coidentity step {step!r}")
 
 

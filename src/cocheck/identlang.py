@@ -11,7 +11,8 @@ Grammar (documented in the README):
 Juxtaposed factors multiply left-associatively, so "(x1 x2 x3)" is
 "((x1 x2) x3)".  Brackets are commutators: [a, b] = ab - ba.  The
 result is an NAPoly; multilinearity is checked at translation time, not
-here, so repeated slots can be fed to `linearize`.
+here, so repeated slots can be fed to `linearize`.  Parentheses and
+brackets nest at most MAX_NESTING levels deep.
 """
 from __future__ import annotations
 
@@ -22,6 +23,9 @@ from .errors import IdentityParseError
 from .identities import NAPoly, commutator, poly, var
 
 _TOKEN = re.compile(r"\s*(x[1-9]'*|\d+|[()\[\],+\-*/])")
+
+# Deepest bracket nesting accepted; the parser recurses once per level.
+MAX_NESTING = 50
 
 
 def _tokenize(text: str):
@@ -45,6 +49,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -67,6 +72,16 @@ class _Parser:
             )
         if not out:
             raise IdentityParseError("empty identity", 0)
+        return out
+
+    def nested_expr(self) -> NAPoly:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise IdentityParseError(
+                f"brackets nested deeper than {MAX_NESTING} levels", self.where()
+            )
+        out = self.parse_expr()
+        self.depth -= 1
         return out
 
     def parse_expr(self) -> NAPoly:
@@ -114,15 +129,15 @@ class _Parser:
             slot = int(tok[1])
             return poly(var(slot, primes))
         if tok == "(":
-            inner = self.parse_expr()
+            inner = self.nested_expr()
             if self.take() != ")":
                 raise IdentityParseError("missing ')'", self.where())
             return inner
         if tok == "[":
-            left = self.parse_expr()
+            left = self.nested_expr()
             if self.take() != ",":
                 raise IdentityParseError("missing ',' in commutator", self.where())
-            right = self.parse_expr()
+            right = self.nested_expr()
             if self.take() != "]":
                 raise IdentityParseError("missing ']'", self.where())
             return commutator(left, right)

@@ -5,6 +5,12 @@ point anywhere in the engine.  Vectors and tensors are immutable and kept
 in canonical form: zero coefficients dropped, keys sorted, duplicates
 merged.  Equal values compare and hash equally, which makes golden-file
 tests and memoization safe.
+
+Every sparse sum in the engine, from vector addition to the coidentity
+steps and the Grassmann envelope products, is merged by `accumulate`,
+the single place that adds coefficients into a dict and drops the zeros.  Results
+that are already merged are wrapped by the private `_merged`
+constructors, which only sort.
 """
 from __future__ import annotations
 
@@ -53,22 +59,29 @@ def _format_terms(pairs) -> str:
     return "".join(out) if out else "0"
 
 
-def _merge(items) -> dict:
-    acc: dict = {}
+def accumulate(acc: dict, items) -> dict:
+    """Add the (key, coeff) pairs of `items` into `acc` in place and
+    drop every key whose sum is zero; returns `acc`.
+
+    `acc` must hold no zero values on entry; it holds none on exit.
+    """
+    get = acc.get
     for key, c in items:
-        c = scalar(c)
-        if not c:
-            continue
-        prev = acc.get(key)
-        if prev is None:
+        prev = get(key)
+        if prev is not None:
+            c = prev + c
+        if c:
             acc[key] = c
-        else:
-            s = prev + c
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+        elif prev is not None:
+            del acc[key]
+    return acc
+
+
+def _sorted(acc: dict) -> dict:
     return {k: acc[k] for k in sorted(acc)}
+
+
+_ZERO = Fraction(0)
 
 
 class FormalVector:
@@ -78,12 +91,20 @@ class FormalVector:
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        object.__setattr__(self, "_terms", _merge(items))
-        object.__setattr__(self, "_hash", None)
+        self._terms = _sorted(accumulate({}, ((k, scalar(c)) for k, c in items)))
+        self._hash = None
+
+    @classmethod
+    def _merged(cls, acc: dict) -> "FormalVector":
+        """Wrap a dict already merged by `accumulate`; only sorts it."""
+        self = cls.__new__(cls)
+        self._terms = _sorted(acc)
+        self._hash = None
+        return self
 
     @classmethod
     def unit(cls, label: BasisLabel) -> "FormalVector":
-        return cls({label: Fraction(1)})
+        return cls._merged({label: Fraction(1)})
 
     @property
     def terms(self) -> Mapping[BasisLabel, Fraction]:
@@ -96,7 +117,7 @@ class FormalVector:
         return self._terms.keys()
 
     def coefficient(self, label: BasisLabel) -> Fraction:
-        return self._terms.get(label, Fraction(0))
+        return self._terms.get(label, _ZERO)
 
     def leading(self) -> Optional[BasisLabel]:
         """Smallest label in the support, or None for the zero vector."""
@@ -119,20 +140,13 @@ class FormalVector:
         h = self._hash
         if h is None:
             h = hash(tuple(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __add__(self, other: "FormalVector") -> "FormalVector":
         if not isinstance(other, FormalVector):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return FormalVector(out)
+        return FormalVector._merged(accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "FormalVector") -> "FormalVector":
         return self + (-other)
@@ -144,7 +158,7 @@ class FormalVector:
         c = scalar(c)
         if not c:
             return FormalVector()
-        return FormalVector({k: v * c for k, v in self._terms.items()})
+        return FormalVector._merged({k: v * c for k, v in self._terms.items()})
 
     def __mul__(self, c: ScalarLike) -> "FormalVector":
         return self.scale(c)
@@ -152,7 +166,7 @@ class FormalVector:
     __rmul__ = __mul__
 
     def to_tensor(self) -> "FormalTensor":
-        return FormalTensor(1, {(k,): v for k, v in self._terms.items()})
+        return FormalTensor._merged(1, {(k,): v for k, v in self._terms.items()})
 
     def __str__(self) -> str:
         return _format_terms((c, str(k)) for k, c in self._terms.items())
@@ -170,13 +184,23 @@ class FormalTensor:
         if arity < 1:
             raise ArityError(f"tensor arity must be >= 1, got {arity}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        merged = _merge(items)
+        merged = accumulate({}, ((k, scalar(c)) for k, c in items))
         for key in merged:
             if len(key) != arity:
                 raise ArityError(f"term {key} does not have arity {arity}")
-        object.__setattr__(self, "_arity", arity)
-        object.__setattr__(self, "_terms", merged)
-        object.__setattr__(self, "_hash", None)
+        self._arity = arity
+        self._terms = _sorted(merged)
+        self._hash = None
+
+    @classmethod
+    def _merged(cls, arity: int, acc: dict) -> "FormalTensor":
+        """Wrap a dict of arity-`arity` keys already merged by
+        `accumulate`; only sorts it."""
+        self = cls.__new__(cls)
+        self._arity = arity
+        self._terms = _sorted(acc)
+        self._hash = None
+        return self
 
     @classmethod
     def zero(cls, arity: int) -> "FormalTensor":
@@ -194,7 +218,7 @@ class FormalTensor:
         return self._terms.items()
 
     def coefficient(self, key: tuple) -> Fraction:
-        return self._terms.get(tuple(key), Fraction(0))
+        return self._terms.get(tuple(key), _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -213,7 +237,7 @@ class FormalTensor:
         h = self._hash
         if h is None:
             h = hash((self._arity, tuple(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __add__(self, other: "FormalTensor") -> "FormalTensor":
@@ -223,14 +247,9 @@ class FormalTensor:
             raise ArityError(
                 f"cannot add tensors of arities {self._arity} and {other._arity}"
             )
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return FormalTensor(self._arity, out)
+        return FormalTensor._merged(
+            self._arity, accumulate(dict(self._terms), other._terms.items())
+        )
 
     def __sub__(self, other: "FormalTensor") -> "FormalTensor":
         return self + (-other)
@@ -242,7 +261,9 @@ class FormalTensor:
         c = scalar(c)
         if not c:
             return FormalTensor(self._arity)
-        return FormalTensor(self._arity, {k: v * c for k, v in self._terms.items()})
+        return FormalTensor._merged(
+            self._arity, {k: v * c for k, v in self._terms.items()}
+        )
 
     def __mul__(self, c: ScalarLike) -> "FormalTensor":
         return self.scale(c)
@@ -254,7 +275,7 @@ class FormalTensor:
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 out[ka + kb] = ca * cb
-        return FormalTensor(self._arity + other._arity, out)
+        return FormalTensor._merged(self._arity + other._arity, out)
 
     def flip(self, position: int, graded: bool = False) -> "FormalTensor":
         """Swap factors at `position` and `position + 1` (1-based).
@@ -266,18 +287,9 @@ class FormalTensor:
             raise ArityError(
                 f"flip position {position} out of range for arity {self._arity}"
             )
-        i = position - 1
-        out: dict = {}
-        for key, c in self._terms.items():
-            swapped = key[:i] + (key[i + 1], key[i]) + key[i + 2 :]
-            if graded and key[i].parity and key[i + 1].parity:
-                c = -c
-            s = out.get(swapped, 0) + c
-            if s:
-                out[swapped] = s
-            else:
-                out.pop(swapped, None)
-        return FormalTensor(self._arity, out)
+        return FormalTensor._merged(
+            self._arity, dict(flip_terms(self._terms.items(), position - 1, graded))
+        )
 
     def max_index(self) -> int:
         return max((l.index for key in self._terms for l in key), default=-1)
@@ -285,7 +297,7 @@ class FormalTensor:
     def to_vector(self) -> FormalVector:
         if self._arity != 1:
             raise ArityError(f"cannot view arity-{self._arity} tensor as a vector")
-        return FormalVector({k[0]: c for k, c in self._terms.items()})
+        return FormalVector._merged({k[0]: c for k, c in self._terms.items()})
 
     def __str__(self) -> str:
         return _format_terms(
@@ -296,19 +308,18 @@ class FormalTensor:
         return f"FormalTensor({self._arity}, {self})"
 
 
-def add(a: FormalTensor, b: FormalTensor) -> FormalTensor:
-    """Canonical sum of two tensors of equal arity."""
-    return a + b
+def flip_terms(items, i: int, graded: bool):
+    """Yield the (key, coeff) pairs with factors i and i + 1 (0-based)
+    of every key swapped; with `graded`, a swap of two odd labels
+    negates the coefficient (the Koszul sign).
 
-
-def tensor(a: FormalTensor, b: FormalTensor) -> FormalTensor:
-    """Tensor product; arities add, coefficients multiply."""
-    return a.tensor(b)
-
-
-def flip(t: FormalTensor, position: int, graded: bool = False) -> FormalTensor:
-    """Swap adjacent tensor factors, with an optional Koszul sign."""
-    return t.flip(position, graded)
+    A swap is a bijection on keys, so merged input yields merged output.
+    """
+    for key, c in items:
+        a, b = key[i], key[i + 1]
+        if graded and a.parity and b.parity:
+            c = -c
+        yield key[:i] + (b, a) + key[i + 2 :], c
 
 
 def extract_components(t: FormalTensor, side: str = "left"):
@@ -400,12 +411,12 @@ class EchelonSubspace:
         return tuple(sorted(self._rows))
 
     def reduce(self, v: FormalVector) -> FormalVector:
-        for pivot in sorted(self._rows):
-            if not v:
-                break
-            c = v.coefficient(pivot)
-            if c:
-                v = v - self._rows[pivot].scale(c)
+        # Each row is 1 at its own pivot and 0 at every other pivot, so
+        # subtracting one row leaves v's other pivot coefficients alone:
+        # only the pivots in v's own support need a visit, in any order.
+        rows = self._rows
+        for pivot, c in [(l, c) for l, c in v.items() if l in rows]:
+            v = v - rows[pivot].scale(c)
         return v
 
     def __contains__(self, v: FormalVector) -> bool:

@@ -11,12 +11,12 @@ index classes and lets finite transposition tables share the format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import SpecError, SpecFileError
-from .linalg import scalar
+from .linalg import accumulate, scalar
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,7 @@ class IndexPoly:
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict = {}
-        for key, c in items:
-            c = scalar(c)
-            if not c:
-                continue
-            key = (int(key[0]), int(key[1]))
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+        acc = accumulate({}, (((int(dn), int(di)), scalar(c)) for (dn, di), c in items))
         object.__setattr__(self, "_coeffs", tuple(sorted(acc.items())))
 
     @classmethod
@@ -167,12 +157,11 @@ class IndexPoly:
         return IndexPoly({k: v * c for k, v in self._coeffs})
 
     def __mul__(self, other: "IndexPoly") -> "IndexPoly":
-        out: dict = {}
-        for (an, ai), ac in self._coeffs:
-            for (bn, bi), bc in other._coeffs:
-                key = (an + bn, ai + bi)
-                out[key] = out.get(key, 0) + ac * bc
-        return IndexPoly(out)
+        return IndexPoly(
+            ((an + bn, ai + bi), ac * bc)
+            for (an, ai), ac in self._coeffs
+            for (bn, bi), bc in other._coeffs
+        )
 
     def power(self, k: int) -> "IndexPoly":
         out = IndexPoly.const(1)
@@ -254,11 +243,17 @@ class IndexPoly:
         return result
 
 
+# Deepest nesting of parentheses and unary minus signs accepted; the
+# parser recurses once per level.
+MAX_NESTING = 50
+
+
 class _ExprParser:
     def __init__(self, tokens, text):
         self.tokens = tokens
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -270,6 +265,14 @@ class _ExprParser:
 
     def fail(self, message):
         raise SpecFileError(f"{message} in expression {self.text!r}")
+
+    def nested(self, parse) -> IndexPoly:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        out = parse()
+        self.depth -= 1
+        return out
 
     def expect_end(self):
         if self.peek() is not None:
@@ -313,12 +316,12 @@ class _ExprParser:
     def parse_atom(self) -> IndexPoly:
         tok = self.take()
         if tok == "(":
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             if self.take() != ")":
                 self.fail("missing closing parenthesis")
             return inner
         if tok == "-":
-            return -self.parse_atom()
+            return -self.nested(self.parse_atom)
         if tok == "n":
             return IndexPoly.var_n()
         if tok == "i":
@@ -399,39 +402,17 @@ class DerivTerm:
         return body
 
 
-def canonical_delta_terms(terms) -> tuple:
-    """Merge shape-equal terms, drop zero coefficients, sort deterministically."""
-    merged: dict = {}
+def canonical_terms(terms) -> tuple:
+    """Merge shape-equal rule terms (all DeltaTerm or all DerivTerm),
+    drop zero coefficients, sort deterministically."""
+    shapes: dict = {}
+    pairs = []
     for t in terms:
         key = t.sort_key()
-        prev = merged.get(key)
-        merged[key] = t if prev is None else _with_coeff(prev, prev.coeff + t.coeff)
-    out = [t for t in merged.values() if t.coeff]
-    return tuple(sorted(out, key=DeltaTerm.sort_key))
-
-
-def canonical_deriv_terms(terms) -> tuple:
-    merged: dict = {}
-    for t in terms:
-        key = t.sort_key()
-        prev = merged.get(key)
-        merged[key] = t if prev is None else _with_coeff(prev, prev.coeff + t.coeff)
-    out = [t for t in merged.values() if t.coeff]
-    return tuple(sorted(out, key=DerivTerm.sort_key))
-
-
-def _with_coeff(term, coeff):
-    if isinstance(term, DeltaTerm):
-        return DeltaTerm(
-            coeff=coeff,
-            left_family=term.left_family,
-            left_index=term.left_index,
-            right_family=term.right_family,
-            right_index=term.right_index,
-            sum_upper=term.sum_upper,
-            guard=term.guard,
-        )
-    return DerivTerm(coeff=coeff, family=term.family, index=term.index, guard=term.guard)
+        shapes.setdefault(key, t)
+        pairs.append((key, t.coeff))
+    merged = accumulate({}, pairs)
+    return tuple(replace(shapes[k], coeff=merged[k]) for k in sorted(merged))
 
 
 def delta_term(

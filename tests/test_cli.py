@@ -67,8 +67,57 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--example", "example1", "--checks", "coassoc",
+             "--max-index", "-5"],
+            ["dual", "identity", "--example", "example4", "--identity", "(x1 x2)",
+             "--bound", "-2"],
+        ],
+    )
+    def test_empty_window_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "nothing was checked" in capsys.readouterr().err
+
+
+class TestHostileInput:
+    def test_deeply_nested_identity(self, capsys):
+        deep = "(" * 3000 + "x1 x2" + ")" * 3000
+        code = main(["check", "--example", "example1", "--identity", deep])
+        assert code == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_deeply_nested_rule_expression(self, capsys, tmp_path):
+        from cocheck import dumps_spec
+
+        data = json.loads(dumps_spec(builtin("example1")))
+        data["delta"][1]["terms"][0]["coeff"] = "(" * 3000 + "1" + ")" * 3000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        code = main(["check", "--spec", str(path), "--checks", "coassoc"])
+        assert code == 2
+        assert "nesting deeper" in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code = main(["check", "--spec", str(path), "--checks", "coassoc"])
+        assert code == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestCheckCommand:
+    def test_bracketed_catalog_name_in_checks(self, capsys):
+        code, report = run_json(
+            capsys, "check", "--example", "example4",
+            "--checks", "cocomm,[[x,y],[z,t]]", "--max-index", "4",
+        )
+        assert code in (0, 1)
+        assert [r["check"] for r in report["results"]] == [
+            "cocommutativity", "[[x,y],[z,t]]"
+        ]
+
     def test_right_alternative_bundle(self, capsys):
         code, out = run(
             capsys, "check", "--example", "example9",
