@@ -11,6 +11,7 @@ error, 3 a closure budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import hashlib
 import json
@@ -27,7 +28,6 @@ from .closure import (
     simplicity_probe,
 )
 from .coalgebra import (
-    CheckReport,
     CoalgebraSpec,
     cocommutativity_check,
     coderivation_check,
@@ -136,10 +136,10 @@ def _render_extra(key: str, payload) -> list:
         out = [
             f"simplicity: {'PASS' if payload['passed'] else 'FAIL'} "
             f"horizon={payload['horizon']} seed={payload['seed']} "
-            f"window={payload['window']}"
+            f"window={[list(w) for w in payload['window']]}"
         ]
         for run in payload["runs"]:
-            mark = "saturated" if run["saturated"] else f"missing {run['missing']}"
+            mark = "saturated" if run["saturated"] else f"missing {list(run['missing'])}"
             out.append(f"  from {run['generator']}: dim={run['dim']} {mark}")
         return out
     if key == "product":
@@ -241,17 +241,6 @@ def _require_coalgebra(obj) -> CoalgebraSpec:
     return obj
 
 
-def _report_entry(report: CheckReport) -> dict:
-    return {
-        "check": report.name,
-        "passed": report.passed,
-        "checked": [list(r) for r in report.checked],
-        "witnesses": [
-            {"subject": w.subject, "residual": w.residual} for w in report.witnesses
-        ],
-    }
-
-
 def parse_label(spec: CoalgebraSpec, text: str):
     text = text.strip()
     if ":" not in text:
@@ -280,74 +269,59 @@ def _split_checks(text: str) -> list:
     return [n.strip() for n in names if n.strip()]
 
 
+def _verdict(report: dict, checks: list):
+    """Attach the CheckReports and their joint verdict; returns the report
+    and its exit code."""
+    passed = all(c.passed for c in checks)
+    report["results"] = [
+        {
+            "check": c.name,
+            "passed": c.passed,
+            "checked": [list(r) for r in c.checked],
+            "witnesses": [dataclasses.asdict(w) for w in c.witnesses],
+        }
+        for c in checks
+    ]
+    report["verdict"] = "pass" if passed else "fail"
+    return report, EXIT_PASS if passed else EXIT_FAIL
+
+
 def cmd_check(args):
     obj, provenance = _load(args)
     spec = _require_coalgebra(obj)
     catalog = builtin_identities()
+
+    def identity(p, name):
+        return check_identity(
+            spec, p, args.max_index, koszul_pairing=args.koszul_pairing, name=name
+        )
+
     results = []
     for name in _split_checks(args.checks):
         if name == "cocomm":
-            results.append(_report_entry(cocommutativity_check(spec, args.max_index)))
+            results.append(cocommutativity_check(spec, args.max_index))
         elif name == "coderivation":
-            results.append(_report_entry(coderivation_check(spec, args.max_index)))
+            results.append(coderivation_check(spec, args.max_index))
         elif name == "shift-bound":
-            results.append(_report_entry(validate_shift_bound(spec, args.max_index)))
-        elif name in BUNDLES:
-            for ident in BUNDLES[name]:
-                results.append(
-                    _report_entry(
-                        check_identity(
-                            spec,
-                            catalog[ident],
-                            args.max_index,
-                            koszul_pairing=args.koszul_pairing,
-                            name=ident,
-                        )
-                    )
-                )
-        elif name in catalog:
-            results.append(
-                _report_entry(
-                    check_identity(
-                        spec,
-                        catalog[name],
-                        args.max_index,
-                        koszul_pairing=args.koszul_pairing,
-                        name=name,
-                    )
-                )
-            )
+            results.append(validate_shift_bound(spec, args.max_index))
         else:
-            known = sorted(set(BUNDLES) | set(catalog))
-            hint = difflib.get_close_matches(name, known, n=3)
-            raise SpecFileError(
-                f"unknown check {name!r}"
-                + (f"; did you mean {', '.join(hint)}?" if hint else "")
-            )
+            for ident in BUNDLES.get(name, [name]):
+                if ident not in catalog:
+                    known = sorted(set(BUNDLES) | set(catalog))
+                    hint = difflib.get_close_matches(name, known, n=3)
+                    raise SpecFileError(
+                        f"unknown check {name!r}"
+                        + (f"; did you mean {', '.join(hint)}?" if hint else "")
+                    )
+                results.append(identity(catalog[ident], ident))
     if args.identity:
         p = parse_identity(args.identity)
         if args.signature:
             p = p.with_signature(args.signature)
-        results.append(
-            _report_entry(
-                check_identity(
-                    spec,
-                    p,
-                    args.max_index,
-                    koszul_pairing=args.koszul_pairing,
-                    name=f"identity {args.identity}",
-                )
-            )
-        )
+        results.append(identity(p, f"identity {args.identity}"))
     if not results:
         raise SpecFileError("nothing to check: pass --checks and/or --identity")
-    passed = all(r["passed"] for r in results)
-    report = {
-        "spec": provenance,
-        "results": results,
-        "verdict": "pass" if passed else "fail",
-    }
-    return report, EXIT_PASS if passed else EXIT_FAIL
+    return _verdict({"spec": provenance}, results)
 
 
 def cmd_closure(args):
@@ -357,26 +331,10 @@ def cmd_closure(args):
         result = simplicity_probe(
             spec, args.horizon, trials=args.trials, seed=args.seed
         )
-        payload = {
-            "passed": result.passed,
-            "horizon": result.horizon,
-            "window": [list(w) for w in result.window],
-            "seed": result.seed,
-            "trials": result.trials,
-            "runs": [
-                {
-                    "generator": r.generator,
-                    "saturated": r.saturated,
-                    "dim": r.dim,
-                    "missing": list(r.missing),
-                }
-                for r in result.runs
-            ],
-        }
         report = {
             "spec": provenance,
             "seed": args.seed,
-            "simplicity": payload,
+            "simplicity": dataclasses.asdict(result),
             "verdict": "pass" if result.passed else "fail",
         }
         return report, EXIT_PASS if result.passed else EXIT_FAIL
@@ -456,9 +414,7 @@ def cmd_dual(args):
             raise SpecFileError("dual identity needs --identity")
         p = parse_identity(args.identity)
         result = bruteforce_identity(spec, p, args.bound, name=f"oracle {args.identity}")
-        report["results"] = [_report_entry(result)]
-        report["verdict"] = "pass" if result.passed else "fail"
-        return report, EXIT_PASS if result.passed else EXIT_FAIL
+        return _verdict(report, [result])
     result = grassmann_envelope_check(
         spec,
         generators=args.generators,
@@ -467,9 +423,7 @@ def cmd_dual(args):
         max_index=args.max_index,
     )
     report["seed"] = args.seed
-    report["results"] = [_report_entry(result)]
-    report["verdict"] = "pass" if result.passed else "fail"
-    return report, EXIT_PASS if result.passed else EXIT_FAIL
+    return _verdict(report, [result])
 
 
 def cmd_list_examples(args):

@@ -295,19 +295,23 @@ def apply_d(spec: CoalgebraSpec, v: Union[FormalVector, BasisLabel]) -> FormalVe
     return FormalVector._merged(out)
 
 
-def _collect(spec, max_index, residual_fn, name) -> CheckReport:
+def scan(name, checked, subjects, residual, render=str) -> CheckReport:
+    """Walk `subjects` lazily and report the first MAX_WITNESSES nonzero
+    residuals as `Witness(render(subject), str(residual))`.
+
+    `checked` is the window the report claims to cover.  Every check that
+    keeps at most one witness per label or label tuple reports through
+    here.
+    """
     witnesses = []
-    for label in spec.labels_upto(max_index):
-        residual = residual_fn(label)
-        if residual:
-            witnesses.append(Witness(str(label), str(residual)))
+    for subject in subjects:
+        r = residual(subject)
+        if r:
+            witnesses.append(Witness(render(subject), str(r)))
             if len(witnesses) >= MAX_WITNESSES:
                 break
     return CheckReport(
-        name=name,
-        passed=not witnesses,
-        checked=spec.checked_ranges(max_index),
-        witnesses=tuple(witnesses),
+        name=name, passed=not witnesses, checked=checked, witnesses=tuple(witnesses)
     )
 
 
@@ -324,7 +328,12 @@ def coderivation_check(spec: CoalgebraSpec, max_index: int) -> CheckReport:
             accumulate(rhs, (((l, m), c * cm) for m, cm in d_label(spec, r).items()))
         return lhs - FormalTensor._merged(2, rhs)
 
-    return _collect(spec, max_index, residual, "coderivation")
+    return scan(
+        "coderivation",
+        spec.checked_ranges(max_index),
+        spec.labels_upto(max_index),
+        residual,
+    )
 
 
 def cocommutativity_check(
@@ -338,7 +347,9 @@ def cocommutativity_check(
         return t - t.flip(1, graded=use_graded)
 
     name = "cocommutativity" + (" (graded)" if use_graded else "")
-    return _collect(spec, max_index, residual, name)
+    return scan(
+        name, spec.checked_ranges(max_index), spec.labels_upto(max_index), residual
+    )
 
 
 def validate_shift_bound(spec: CoalgebraSpec, max_index: int) -> CheckReport:

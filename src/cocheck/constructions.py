@@ -7,7 +7,7 @@ in the input index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -49,14 +49,11 @@ def gelfand_dorfman(spec: CoalgebraSpec) -> CoalgebraSpec:
             for dt in _d_terms(spec, t.right_family):
                 coeff, target_fam, target_idx = _compose_d(dt, t.right_index)
                 out.append(
-                    DeltaTerm(
+                    replace(
+                        t,
                         coeff=t.coeff * coeff,
-                        left_family=t.left_family,
-                        left_index=t.left_index,
                         right_family=target_fam,
                         right_index=target_idx,
-                        sum_upper=t.sum_upper,
-                        guard=t.guard,
                     )
                 )
         new_delta[fam] = tuple(out)
@@ -85,14 +82,13 @@ def antisymmetrize(spec: CoalgebraSpec) -> CoalgebraSpec:
                 if pl and pr:
                     sign = -sign
             out.append(
-                DeltaTerm(
+                replace(
+                    t,
                     coeff=t.coeff.scale(sign),
                     left_family=t.right_family,
                     left_index=t.right_index,
                     right_family=t.left_family,
                     right_index=t.left_index,
-                    sum_upper=t.sum_upper,
-                    guard=t.guard,
                 )
             )
         new_delta[fam] = tuple(out)
@@ -134,51 +130,27 @@ def kantor(spec: CoalgebraSpec) -> CoalgebraSpec:
             for dt in _d_terms(spec, t.right_family):
                 coeff, tf, ti = _compose_d(dt, t.right_index)
                 even_terms.append(
-                    DeltaTerm(
+                    replace(
+                        t,
                         coeff=t.coeff * coeff,
                         left_family=bar_family(t.left_family),
-                        left_index=t.left_index,
                         right_family=bar_family(tf),
                         right_index=ti,
-                        sum_upper=t.sum_upper,
-                        guard=t.guard,
                     )
                 )
             for dt in _d_terms(spec, t.left_family):
                 coeff, tf, ti = _compose_d(dt, t.left_index)
                 even_terms.append(
-                    DeltaTerm(
+                    replace(
+                        t,
                         coeff=-(t.coeff * coeff),
                         left_family=bar_family(tf),
                         left_index=ti,
                         right_family=bar_family(t.right_family),
-                        right_index=t.right_index,
-                        sum_upper=t.sum_upper,
-                        guard=t.guard,
                     )
                 )
-            odd_terms.append(
-                DeltaTerm(
-                    coeff=t.coeff,
-                    left_family=bar_family(t.left_family),
-                    left_index=t.left_index,
-                    right_family=t.right_family,
-                    right_index=t.right_index,
-                    sum_upper=t.sum_upper,
-                    guard=t.guard,
-                )
-            )
-            odd_terms.append(
-                DeltaTerm(
-                    coeff=t.coeff,
-                    left_family=t.left_family,
-                    left_index=t.left_index,
-                    right_family=bar_family(t.right_family),
-                    right_index=t.right_index,
-                    sum_upper=t.sum_upper,
-                    guard=t.guard,
-                )
-            )
+            odd_terms.append(replace(t, left_family=bar_family(t.left_family)))
+            odd_terms.append(replace(t, right_family=bar_family(t.right_family)))
         new_delta[fam] = tuple(even_terms)
         new_delta[bar_family(fam)] = tuple(odd_terms)
     return CoalgebraSpec(

@@ -22,6 +22,7 @@ from .coalgebra import (
     Witness,
     d_label,
     delta,
+    scan,
     validate_shift_bound,
 )
 from .errors import ShiftBoundError, SpecError
@@ -169,20 +170,16 @@ def bruteforce_identity(
     evaluator = DualEvaluator(spec, window)
     labels = spec.labels_upto(max_index)
     functionals = {l: FormalVector.unit(l) for l in labels}
-    witnesses = []
-    for tup in itertools.product(labels, repeat=arity):
-        assignment = {j + 1: functionals[tup[j]] for j in range(arity)}
-        residual = evaluator.polynomial(p, assignment)
-        if residual:
-            subject = "(" + ", ".join(f"xi_{l}" for l in tup) + ")"
-            witnesses.append(Witness(subject, str(residual)))
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-    return CheckReport(
-        name=name or f"dual oracle {p}",
-        passed=not witnesses,
-        checked=spec.checked_ranges(max_index),
-        witnesses=tuple(witnesses),
+
+    def residual(tup):
+        return evaluator.polynomial(p, {j + 1: functionals[l] for j, l in enumerate(tup)})
+
+    return scan(
+        name or f"dual oracle {p}",
+        spec.checked_ranges(max_index),
+        itertools.product(labels, repeat=arity),
+        residual,
+        render=lambda tup: "(" + ", ".join(f"xi_{l}" for l in tup) + ")",
     )
 
 

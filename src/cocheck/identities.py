@@ -25,10 +25,9 @@ from typing import Optional, Union
 from .coalgebra import (
     CheckReport,
     CoalgebraSpec,
-    MAX_WITNESSES,
-    Witness,
     d_label,
     delta,
+    scan,
 )
 from .errors import SpecError
 from .linalg import FormalTensor, FormalVector, accumulate, flip_terms, scalar
@@ -420,18 +419,11 @@ def check_identity(
 ) -> CheckReport:
     """Verify that the coidentity of p vanishes on every label in range."""
     cmap = translate(p, koszul_pairing=koszul_pairing)
-    witnesses = []
-    for label in spec.labels_upto(max_index):
-        residual = cmap.apply(spec, label)
-        if residual:
-            witnesses.append(Witness(str(label), str(residual)))
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-    return CheckReport(
-        name=name or f"identity {p}",
-        passed=not witnesses,
-        checked=spec.checked_ranges(max_index),
-        witnesses=tuple(witnesses),
+    return scan(
+        name or f"identity {p}",
+        spec.checked_ranges(max_index),
+        spec.labels_upto(max_index),
+        lambda label: cmap.apply(spec, label),
     )
 
 

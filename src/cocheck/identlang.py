@@ -12,7 +12,8 @@ Juxtaposed factors multiply left-associatively, so "(x1 x2 x3)" is
 "((x1 x2) x3)".  Brackets are commutators: [a, b] = ab - ba.  The
 result is an NAPoly; multilinearity is checked at translation time, not
 here, so repeated slots can be fed to `linearize`.  Parentheses and
-brackets nest at most MAX_NESTING levels deep.
+brackets nest at most MAX_NESTING levels deep, a monomial has at most
+MAX_DEGREE variables, and one product pairs at most MAX_PAIRS monomials.
 """
 from __future__ import annotations
 
@@ -26,6 +27,19 @@ _TOKEN = re.compile(r"\s*(x[1-9]'*|\d+|[()\[\],+\-*/])")
 
 # Deepest bracket nesting accepted; the parser recurses once per level.
 MAX_NESTING = 50
+
+# Most variables in one monomial.  Monomial trees are walked recursively,
+# and a commutator of d + 1 variables expands to 2^d monomials, so this
+# also caps a commutator at 2048 monomials.
+MAX_DEGREE = 12
+
+# Most monomial pairs one product may expand: a product of sums grows as
+# the product of their lengths, which the degree bound alone leaves open.
+MAX_PAIRS = 2048
+
+
+def _degree(p: NAPoly) -> int:
+    return max((len(mono.leaves()) for _, mono in p.terms), default=0)
 
 
 def _tokenize(text: str):
@@ -84,6 +98,19 @@ class _Parser:
         self.depth -= 1
         return out
 
+    def product(self, a: NAPoly, b: NAPoly, multiply) -> NAPoly:
+        """multiply(a, b), refused before it is built when it would exceed
+        MAX_DEGREE variables per monomial or MAX_PAIRS monomial pairs."""
+        if _degree(a) + _degree(b) > MAX_DEGREE:
+            raise IdentityParseError(
+                f"a monomial has more than {MAX_DEGREE} variables", self.where()
+            )
+        if len(a.terms) * len(b.terms) > MAX_PAIRS:
+            raise IdentityParseError(
+                f"a product expands to more than {MAX_PAIRS} monomials", self.where()
+            )
+        return multiply(a, b)
+
     def parse_expr(self) -> NAPoly:
         sign = 1
         while self.peek() in ("+", "-"):
@@ -115,7 +142,7 @@ class _Parser:
             if tok is None or tok in ("+", "-", ",", ")", "]"):
                 break
             factor = self.parse_factor()
-            out = factor if out is None else out * factor
+            out = factor if out is None else self.product(out, factor, NAPoly.__mul__)
         if out is None:
             raise IdentityParseError("expected a monomial", self.where())
         return out.scale(coeff)
@@ -140,7 +167,7 @@ class _Parser:
             right = self.nested_expr()
             if self.take() != "]":
                 raise IdentityParseError("missing ']'", self.where())
-            return commutator(left, right)
+            return self.product(left, right, commutator)
         raise IdentityParseError(f"unexpected token {tok!r}", self.where())
 
 

@@ -131,6 +131,9 @@ class IndexPoly:
             total += c * n**dn * i**di
         return total
 
+    def degree(self) -> int:
+        return max((dn + di for (dn, di), _ in self._coeffs), default=0)
+
     def uses_i(self) -> bool:
         return any(di for (_, di), _ in self._coeffs)
 
@@ -247,6 +250,12 @@ class IndexPoly:
 # parser recurses once per level.
 MAX_NESTING = 50
 
+# Highest total degree a product or power in an expression may reach, and
+# the highest exponent: `power` multiplies once per unit of exponent.
+# Gelfand-Dorfman and Kantor multiply a delta coefficient by a coderivation
+# coefficient, so inputs of degree <= 16 give outputs that parse again.
+MAX_DEGREE = 32
+
 
 class _ExprParser:
     def __init__(self, tokens, text):
@@ -274,6 +283,10 @@ class _ExprParser:
         self.depth -= 1
         return out
 
+    def bounded(self, degree: int):
+        if degree > MAX_DEGREE:
+            self.fail(f"degree above {MAX_DEGREE}")
+
     def expect_end(self):
         if self.peek() is not None:
             self.fail(f"unexpected token {self.peek()!r}")
@@ -296,9 +309,10 @@ class _ExprParser:
             op = self.take()
             rhs = self.parse_factor()
             if op == "*":
+                self.bounded(out.degree() + rhs.degree())
                 out = out * rhs
             else:
-                if rhs.uses_i() or any(dn for (dn, _), _ in rhs.coeffs):
+                if rhs.degree():
                     self.fail("division only by constants")
                 out = out.scale(1 / rhs.evaluate(0, 0))
         return out
@@ -310,6 +324,7 @@ class _ExprParser:
             exp = self.take()
             if exp is None or not exp.isdigit():
                 self.fail("exponent must be a nonnegative integer")
+            self.bounded(max(base.degree(), 1) * int(exp))
             base = base.power(int(exp))
         return base
 

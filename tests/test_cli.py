@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -23,6 +24,14 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--json", "--deterministic")
     return code, json.loads(out)
+
+
+def nested_commutator(depth):
+    """[[[x1,x2],x3],...] with `depth` brackets: 2^depth monomials."""
+    expr = "x1"
+    for k in range(depth):
+        expr = f"[{expr},x{k % 8 + 2}]"
+    return expr
 
 
 class TestExitCodes:
@@ -98,6 +107,31 @@ class TestHostileInput:
         code = main(["check", "--spec", str(path), "--checks", "coassoc"])
         assert code == 2
         assert "nesting deeper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "identity",
+        [" ".join(["x1"] * 1500), nested_commutator(25)],
+        ids=["1500-factors", "depth-25-commutator"],
+    )
+    def test_oversized_identity(self, capsys, identity):
+        started = time.monotonic()
+        code = main(["check", "--example", "example1", "--identity", identity])
+        assert time.monotonic() - started < 10
+        assert code == 2
+        assert "more than 12 variables" in capsys.readouterr().err
+
+    def test_huge_exponent_in_rule_expression(self, capsys, tmp_path):
+        from cocheck import dumps_spec
+
+        data = json.loads(dumps_spec(builtin("example1")))
+        data["delta"][1]["terms"][0]["coeff"] = "n^99999999"
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(data))
+        started = time.monotonic()
+        code = main(["check", "--spec", str(path), "--checks", "coassoc"])
+        assert time.monotonic() - started < 10
+        assert code == 2
+        assert "degree above 32" in capsys.readouterr().err
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -258,6 +258,8 @@ class TestCocommutativity:
         w = report.witnesses[0]
         assert w.subject == "f:1"
         assert w.residual == "e:0⊗f:2 - f:2⊗e:0"
+        # The scan stops at the third witness.
+        assert [w.subject for w in report.witnesses] == ["f:1", "f:2", "f:3"]
 
     def test_example7_graded_passes_plain_fails(self, specs):
         ex7 = specs["example7"]

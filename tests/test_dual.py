@@ -162,6 +162,14 @@ class TestBruteforce:
         assert not report.passed
         assert "xi_" in report.witnesses[0].subject
 
+    def test_witnesses_capped_in_tuple_order(self, ex1, cat):
+        report = bruteforce_identity(ex1, cat["(xy)z"], 3)
+        assert [str(w) for w in report.witnesses] == [
+            "(xi_e:0, xi_e:0, xi_e:0): e:0",
+            "(xi_e:0, xi_e:0, xi_f:1): f:1",
+            "(xi_e:0, xi_e:0, xi_f:2): f:2",
+        ]
+
 
 class TestKantorProducts:
     def test_bar_products_match_vector_type_formula(self, ex1):

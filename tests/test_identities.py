@@ -104,6 +104,13 @@ class TestCheckIdentity:
         assert not report.passed
         assert report.witnesses[0].subject == "e:0"
 
+    def test_witnesses_capped_in_label_order(self, cat):
+        report = check_identity(builtin("example1"), cat["(xy)z"], 10)
+        assert [w.subject for w in report.witnesses] == ["e:0", "f:1", "f:2"]
+        assert report.witnesses[1].residual == (
+            "e:0⊗e:0⊗f:1 + e:0⊗f:1⊗e:0 + f:1⊗e:0⊗e:0"
+        )
+
     def test_non_multilinear_rejected(self):
         squared = poly(mul(var(1), var(1)))
         with pytest.raises(SpecError):
