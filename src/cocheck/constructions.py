@@ -8,12 +8,11 @@ in the input index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .coalgebra import CoalgebraSpec, FamilyDecl
 from .errors import SpecError
-from .linalg import scalar
+from .linalg import inversions, koszul_sign, scalar
 from .rules import AffineIndex, DeltaTerm, DerivTerm, Guard, IndexPoly
 
 BAR = "~"
@@ -69,22 +68,21 @@ def gelfand_dorfman(spec: CoalgebraSpec) -> CoalgebraSpec:
 
 
 def antisymmetrize(spec: CoalgebraSpec) -> CoalgebraSpec:
-    """New comultiplication (1 - flip) . delta, graded flip on graded specs."""
+    """New comultiplication (1 - flip) . delta; on graded specs the flip
+    carries the Koszul sign."""
     new_delta: dict = {}
     for fam, terms in spec.delta.items():
         out = []
         for t in terms:
             out.append(t)
-            sign = Fraction(-1)
-            if spec.graded:
-                pl = spec.family(t.left_family).parity
-                pr = spec.family(t.right_family).parity
-                if pl and pr:
-                    sign = -sign
+            parities = (
+                (spec.family(t.left_family).parity, spec.family(t.right_family).parity)
+                if spec.graded else (0, 0)
+            )
             out.append(
                 replace(
                     t,
-                    coeff=t.coeff.scale(sign),
+                    coeff=t.coeff.scale(-koszul_sign(parities, inversions((1, 0)))),
                     left_family=t.right_family,
                     left_index=t.right_index,
                     right_family=t.left_family,

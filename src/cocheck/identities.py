@@ -3,17 +3,18 @@
 An identity for the dual algebra is a linear combination of binary trees
 over decorated variables.  `translate` turns it into a composable
 operator from the coalgebra to a tensor power, built from the
-comultiplication, the coderivation applied factorwise, adjacent flips,
-and parity projections.  Checking the operator on basis labels checks
-the identity on the whole dual exactly, which is immune to the product
-distortions a truncated dual algebra would introduce.
+comultiplication, the coderivation applied factorwise, one permutation
+of the factors back to slot order, and parity projections.  Checking the
+operator on basis labels checks the identity on the whole dual exactly,
+which is immune to the product distortions a truncated dual algebra
+would introduce.
 
 Sign convention: the pairing of functionals against tensors carries no
-sign, and Koszul signs enter only through graded flips while factors are
-permuted back to slot order.  The `koszul_pairing` switch selects the
-alternative convention (plain flips, permutation signs taken from the
-declared slot parities); it exists so the two conventions can be
-compared on concrete examples.
+sign, and Koszul signs enter only through the graded permutation back
+to slot order (`linalg.koszul_sign`).  The `koszul_pairing` switch
+selects the alternative convention (a plain permutation, its sign taken
+from the declared slot parities); it exists so the two conventions can
+be compared on concrete examples.
 """
 from __future__ import annotations
 
@@ -30,7 +31,10 @@ from .coalgebra import (
     scan,
 )
 from .errors import SpecError
-from .linalg import FormalTensor, FormalVector, accumulate, flip_terms, scalar
+from .linalg import (
+    FormalTensor, FormalVector, accumulate, format_terms, inversions, koszul_sign,
+    permute_terms, scalar,
+)
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,9 @@ class NAPoly:
     """A rational linear combination of monomials sharing one arity.
 
     The optional parity signature marks the identity as graded: slots
-    with parity 0 or 1 get parity projections, and factor permutations
-    use graded flips.  Identities without a signature are classical and
-    permute with plain flips.
+    with parity 0 or 1 get parity projections, and the factor permutation
+    is graded.  Identities without a signature are classical and permute
+    their factors plainly.
     """
 
     __slots__ = ("_terms", "_arity", "_signature")
@@ -213,17 +217,7 @@ class NAPoly:
         return NAPoly(terms, arity=max(self._arity, other._arity))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for coeff, mono in self._terms:
-            mag = -coeff if coeff < 0 else coeff
-            body = str(mono) if mag == 1 else f"{mag}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(parts)
+        return format_terms((coeff, str(mono)) for coeff, mono in self._terms)
 
     def __repr__(self):
         return f"NAPoly({self})"
@@ -251,7 +245,8 @@ class CoidentityMap:
     Steps, applied left to right to an arity-1 tensor:
       ("delta", pos, lreq, rreq)  replace factor pos by its comultiplication
       ("d", pos, req)             apply the coderivation to factor pos
-      ("flip", pos, graded)       swap factors pos and pos + 1
+      ("permute", perm, pairs)    factor k becomes factor perm[k], with the
+                                  Koszul sign of `pairs` (none when plain)
       ("project", signature)      keep terms whose parities match the signature
 
     The req annotations are the parities each produced block must
@@ -280,36 +275,29 @@ class CoidentityMap:
         return FormalTensor._merged(self.arity, total)
 
     def describe(self) -> str:
-        rendered = []
-        for coeff, steps in self.branches:
-            names = []
-            for step in steps:
-                if step[0] == "delta":
-                    names.append(f"delta@{step[1]}")
-                elif step[0] == "d":
-                    names.append(f"d@{step[1]}")
-                elif step[0] == "flip":
-                    names.append(("gflip@" if step[2] else "flip@") + str(step[1]))
-                else:
-                    sig = "".join(
-                        "*" if p is None else ("o" if p else "e") for p in step[1]
-                    )
-                    names.append(f"project[{sig}]")
-            body = " . ".join(reversed(names)) if names else "id"
-            mag = -coeff if coeff < 0 else coeff
-            if mag != 1:
-                body = f"{mag}*{body}"
-            rendered.append(("-" if coeff < 0 else ("+" if rendered else "")) + body)
-        return " ".join(rendered) if rendered else "0"
+        return format_terms(
+            (coeff, " . ".join(_step_name(s) for s in reversed(steps)) or "id")
+            for coeff, steps in self.branches
+        )
 
     def __str__(self):
         return self.describe()
 
 
+def _step_name(step) -> str:
+    if step[0] == "permute":
+        order = ",".join(str(k + 1) for k in step[1])
+        return f"{'g' if step[2] else ''}permute[{order}]"
+    if step[0] == "project":
+        sig = "".join("*" if p is None else ("o" if p else "e") for p in step[1])
+        return f"project[{sig}]"
+    return f"{step[0]}@{step[1]}"
+
+
 def _apply_step(spec, t: dict, step, prune: bool) -> dict:
     kind = step[0]
-    if kind == "flip":
-        return dict(flip_terms(t.items(), step[1] - 1, step[2]))
+    if kind == "permute":
+        return dict(permute_terms(t.items(), step[1], step[2]))
     if kind == "project":
         sig = step[1]
         return {
@@ -382,28 +370,17 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
             f"identity is not multilinear: {p}; linearize it first"
         )
     sig = p.signature
-    graded_flips = sig is not None and not koszul_pairing
+    graded = sig is not None and not koszul_pairing
     branches = []
     for coeff, mono in p.terms:
         steps = _build_steps(mono, 1, sig)
+        # One permutation takes the factors from leaf order to slot order.
         order = [v.slot for v in mono.leaves()]
-        arr = list(order)
-        sign = Fraction(1)
-        # Bubble the factors from leaf order back to slot order; each
-        # adjacent swap is a flip step.
-        changed = True
-        while changed:
-            changed = False
-            for j in range(len(arr) - 1):
-                if arr[j] > arr[j + 1]:
-                    if koszul_pairing and sig is not None:
-                        pa = sig[arr[j] - 1] or 0
-                        pb = sig[arr[j + 1] - 1] or 0
-                        if pa and pb:
-                            sign = -sign
-                    steps.append(("flip", j + 1, graded_flips))
-                    arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                    changed = True
+        perm = tuple(sorted(range(len(order)), key=order.__getitem__))
+        pairs = inversions(perm)
+        sign = koszul_sign(sig, pairs) if sig is not None and koszul_pairing else 1
+        if pairs:
+            steps.append(("permute", perm, pairs if graded else ()))
         if sig is not None and any(s is not None for s in sig):
             steps.append(("project", sig))
         branches.append((coeff * sign, tuple(steps)))
@@ -446,42 +423,27 @@ def linearize(p: NAPoly) -> NAPoly:
         next_slot += mult[slot]
     out = []
     for coeff, mono in p.terms:
-        leaves = mono.leaves()
-        positions: dict = {}
-        for idx, v in enumerate(leaves):
-            positions.setdefault(v.slot, []).append(idx)
-        slot_list = sorted(positions)
-        for combo in itertools.product(
-            *(itertools.permutations(blocks[s]) for s in slot_list)
-        ):
-            assignment: dict = {}
-            for s, perm in zip(slot_list, combo):
-                for idx, new_slot in zip(positions[s], perm):
-                    assignment[idx] = new_slot
-            counter = [0]
-            out.append((coeff, _renumber(mono, assignment, counter)))
+        # The k-th occurrence of a slot, in leaf order, takes the k-th
+        # fresh slot of one permutation of its block.
+        for combo in itertools.product(*map(itertools.permutations, blocks.values())):
+            fresh = dict(zip(blocks, map(iter, combo)))
+            out.append((coeff, _relabel(mono, (next(fresh[v.slot]) for v in mono.leaves()))))
     return NAPoly(out, arity=next_slot - 1)
 
 
-def _renumber(mono: Monomial, assignment: dict, counter: list) -> Monomial:
+def _relabel(mono: Monomial, slots) -> Monomial:
+    """The monomial with its leaves, in order, moved to the next of `slots`."""
     if isinstance(mono, Leaf):
-        idx = counter[0]
-        counter[0] += 1
-        return Leaf(NAVariable(assignment[idx], mono.var.deriv))
-    left = _renumber(mono.left, assignment, counter)
-    right = _renumber(mono.right, assignment, counter)
-    return Node(left, right)
+        return Leaf(NAVariable(next(slots), mono.var.deriv))
+    return Node(_relabel(mono.left, slots), _relabel(mono.right, slots))
 
 
 def substitute_slots(p: NAPoly, mapping: dict) -> NAPoly:
     """Rename slots (possibly merging them); used to validate linearize."""
-
-    def rename(m: Monomial) -> Monomial:
-        if isinstance(m, Leaf):
-            return Leaf(NAVariable(mapping.get(m.var.slot, m.var.slot), m.var.deriv))
-        return Node(rename(m.left), rename(m.right))
-
-    return NAPoly([(c, rename(m)) for c, m in p.terms])
+    return NAPoly([
+        (c, _relabel(m, (mapping.get(v.slot, v.slot) for v in m.leaves())))
+        for c, m in p.terms
+    ])
 
 
 def _associator(a: int, b: int, c: int) -> NAPoly:

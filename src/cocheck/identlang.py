@@ -13,7 +13,8 @@ Juxtaposed factors multiply left-associatively, so "(x1 x2 x3)" is
 result is an NAPoly; multilinearity is checked at translation time, not
 here, so repeated slots can be fed to `linearize`.  Parentheses and
 brackets nest at most MAX_NESTING levels deep, a monomial has at most
-MAX_DEGREE variables, and one product pairs at most MAX_PAIRS monomials.
+MAX_DEGREE variables, one product pairs at most MAX_PAIRS monomials, and
+an integer has at most MAX_DIGITS digits.
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ MAX_DEGREE = 12
 # the product of their lengths, which the degree bound alone leaves open.
 MAX_PAIRS = 2048
 
+# Longest integer literal: Python's default limit on int-string conversion.
+MAX_DIGITS = 4300
+
 
 def _degree(p: NAPoly) -> int:
     return max((len(mono.leaves()) for _, mono in p.terms), default=0)
@@ -53,7 +57,10 @@ def _tokenize(text: str):
                     f"unexpected character {text[pos:].lstrip()[0]!r}", pos
                 )
             break
-        tokens.append((m.group(1), m.start(1)))
+        tok, where = m.group(1), m.start(1)
+        if tok.isdigit() and len(tok) > MAX_DIGITS:
+            raise IdentityParseError(f"integer literal longer than {MAX_DIGITS} digits", where)
+        tokens.append((tok, where))
         pos = m.end()
     return tokens
 

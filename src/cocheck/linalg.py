@@ -8,14 +8,16 @@ tests and memoization safe.
 
 Every sparse sum in the engine, from vector addition to the coidentity
 steps and the Grassmann envelope products, is merged by `accumulate`,
-the single place that adds coefficients into a dict and drops the zeros.  Results
-that are already merged are wrapped by the private `_merged`
-constructors, which only sort.
+the single place that adds coefficients into a dict and drops the zeros.
+Results that are already merged are wrapped by the private `_merged`
+constructors, which only sort.  Likewise `koszul_sign` is the single
+place that computes the Koszul sign of a reordering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,7 +48,7 @@ class BasisLabel:
         return f"{self.family}:{self.index}"
 
 
-def _format_terms(pairs) -> str:
+def format_terms(pairs) -> str:
     """Render [(coeff, "key"), ...] as "a - 2*b + 1/2*c"."""
     out = []
     for coeff, key in pairs:
@@ -169,7 +171,7 @@ class FormalVector:
         return FormalTensor._merged(1, {(k,): v for k, v in self._terms.items()})
 
     def __str__(self) -> str:
-        return _format_terms((c, str(k)) for k, c in self._terms.items())
+        return format_terms((c, str(k)) for k, c in self._terms.items())
 
     def __repr__(self) -> str:
         return f"FormalVector({self})"
@@ -287,8 +289,11 @@ class FormalTensor:
             raise ArityError(
                 f"flip position {position} out of range for arity {self._arity}"
             )
+        perm = list(range(self._arity))
+        perm[position - 1 : position + 1] = position, position - 1
+        pairs = inversions(perm) if graded else ()
         return FormalTensor._merged(
-            self._arity, dict(flip_terms(self._terms.items(), position - 1, graded))
+            self._arity, dict(permute_terms(self._terms.items(), perm, pairs))
         )
 
     def max_index(self) -> int:
@@ -300,7 +305,7 @@ class FormalTensor:
         return FormalVector._merged({k[0]: c for k, c in self._terms.items()})
 
     def __str__(self) -> str:
-        return _format_terms(
+        return format_terms(
             (c, "⊗".join(str(l) for l in key)) for key, c in self._terms.items()
         )
 
@@ -308,18 +313,35 @@ class FormalTensor:
         return f"FormalTensor({self._arity}, {self})"
 
 
-def flip_terms(items, i: int, graded: bool):
-    """Yield the (key, coeff) pairs with factors i and i + 1 (0-based)
-    of every key swapped; with `graded`, a swap of two odd labels
-    negates the coefficient (the Koszul sign).
+def inversions(perm) -> tuple:
+    """The result positions a < b whose factors were in the opposite order
+    before the reordering `perm` (new factor k is old factor perm[k])."""
+    n = len(perm)
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
 
-    A swap is a bijection on keys, so merged input yields merged output.
-    """
+
+def koszul_sign(parities, pairs) -> int:
+    """The Koszul sign of a reordering: -1 for each of its reversed
+    `pairs` whose factors both have odd `parities` (None counts as even)."""
+    sign = 1
+    for a, b in pairs:
+        if parities[a] and parities[b]:
+            sign = -sign
+    return sign
+
+
+def permute_terms(items, perm, pairs):
+    """Yield the (key, coeff) pairs with every key permuted by `perm` (of
+    at least two factors) and each coefficient times the Koszul sign of
+    `pairs`: `inversions(perm)` for a graded reordering, () for a plain one.
+    A permutation is a bijection on keys, so merged input yields merged
+    output."""
+    take = itemgetter(*perm)
     for key, c in items:
-        a, b = key[i], key[i + 1]
-        if graded and a.parity and b.parity:
+        key = take(key)
+        if pairs and koszul_sign([l.parity for l in key], pairs) < 0:
             c = -c
-        yield key[:i] + (b, a) + key[i + 2 :], c
+        yield key, c
 
 
 def extract_components(t: FormalTensor, side: str = "left"):

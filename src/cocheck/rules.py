@@ -256,6 +256,9 @@ MAX_NESTING = 50
 # coefficient, so inputs of degree <= 16 give outputs that parse again.
 MAX_DEGREE = 32
 
+# Longest integer literal: Python's default limit on int-string conversion.
+MAX_DIGITS = 4300
+
 
 class _ExprParser:
     def __init__(self, tokens, text):
@@ -263,6 +266,8 @@ class _ExprParser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        if any(len(tok) > MAX_DIGITS for tok in tokens):
+            self.fail(f"integer literal longer than {MAX_DIGITS} digits")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

@@ -33,6 +33,8 @@ def loads_spec(text: str, source: str = "<string>") -> CoalgebraSpec:
         raise SpecFileError(
             f"invalid JSON in {source}: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from None
+    except ValueError:  # an int past Python's int-string conversion limit
+        raise SpecFileError(f"invalid JSON in {source}: integer literal too long") from None
     except RecursionError:
         raise SpecFileError(f"invalid JSON in {source}: nested too deeply") from None
     return spec_from_dict(data, source=source)

@@ -133,6 +133,38 @@ class TestHostileInput:
         assert code == 2
         assert "degree above 32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, literal, message",
+        [
+            ("identity", "9" * 5000 + " x1 x2", "integer literal longer than 4300 digits"),
+            ("identity", "1/" + "9" * 5000 + " x1 x2", "integer literal longer than 4300 digits"),
+            ("coeff", "9" * 5000, "integer literal longer than 4300 digits"),
+            ("coeff", "n^" + "9" * 5000, "integer literal longer than 4300 digits"),
+            ("shift_bound", "9" * 5000, "integer literal too long"),
+        ],
+        ids=["identity-coefficient", "identity-denominator", "rule-coefficient",
+             "rule-exponent", "json-integer"],
+    )
+    def test_overlong_integer_literal(self, capsys, tmp_path, where, literal, message):
+        from cocheck import dumps_spec
+
+        if where == "identity":
+            argv = ["--example", "example1", "--identity", literal]
+        else:
+            data = json.loads(dumps_spec(builtin("example1")))
+            if where == "coeff":
+                data["delta"][1]["terms"][0]["coeff"] = literal
+                text = json.dumps(data)
+            else:
+                # json.dumps cannot write such an int, so splice it in.
+                data[where] = "@"
+                text = json.dumps(data).replace('"@"', literal)
+            path = tmp_path / "long.json"
+            path.write_text(text)
+            argv = ["--spec", str(path), "--checks", "coassoc"]
+        assert main(["check", *argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)

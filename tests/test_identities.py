@@ -86,7 +86,16 @@ class TestTranslateStructure:
 
     def test_describe_is_readable(self, cat):
         text = translate(cat["novikov-right-commutativity"]).describe()
-        assert "delta@1" in text and "flip@2" in text
+        assert "delta@1" in text and "permute[1,3,2]" in text
+
+    def test_one_permute_step_per_branch(self, cat):
+        def kinds(cmap):
+            return [step[0] for _, steps in cmap.branches for step in steps]
+
+        jordan = kinds(translate(cat["jordan-linearized"]))
+        assert (jordan.count("delta"), jordan.count("permute")) == (36, 12)
+        assert set(jordan) == {"delta", "permute"}
+        assert "permute" not in kinds(translate(cat["(xy)z"]))
 
 
 class TestCheckIdentity:

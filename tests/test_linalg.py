@@ -11,6 +11,7 @@ from cocheck import (
     extract_components,
     membership,
 )
+from cocheck.linalg import inversions, permute_terms
 from conftest import lab, ten, vec
 
 E = lab("e", 0)
@@ -119,6 +120,46 @@ class TestFlip:
     )
     def test_involution_graded(self, t):
         assert t.flip(1, graded=True).flip(1, graded=True) == t
+
+
+def _permuted_tensors(n):
+    keys = st.tuples(*[st.sampled_from([E, X1, OD1, OD2])] * n)
+    return st.tuples(
+        st.permutations(range(n)),
+        st.dictionaries(keys, coeff_st, max_size=6).map(lambda d: FormalTensor(n, d)),
+    )
+
+
+class TestPermute:
+    @given(st.integers(min_value=2, max_value=5).flatmap(_permuted_tensors))
+    def test_signed_permutation_equals_graded_flip_chain(self, case):
+        perm, t = case
+        once = FormalTensor(t.arity, permute_terms(t.items(), perm, inversions(perm)))
+        # Bubble-sort the destination of each source factor.  Every adjacent
+        # swap is one graded flip, and one swap of the raw terms signed here
+        # by hand, which does not share the engine's sign routine.
+        dest = [perm.index(k) for k in range(t.arity)]
+        flipped, swapped = t, dict(t.items())
+        for _ in range(t.arity):
+            for j in range(t.arity - 1):
+                if dest[j] > dest[j + 1]:
+                    dest[j], dest[j + 1] = dest[j + 1], dest[j]
+                    flipped = flipped.flip(j + 1, graded=True)
+                    swapped = {
+                        k[:j] + (k[j + 1], k[j]) + k[j + 2:]:
+                            -c if k[j].parity and k[j + 1].parity else c
+                        for k, c in swapped.items()
+                    }
+        assert once == flipped == FormalTensor(t.arity, swapped)
+
+    def test_plain_permutation_keeps_signs(self):
+        t = FormalTensor(3, {(OD1, OD2, E): 1})
+        plain = FormalTensor(3, permute_terms(t.items(), (1, 0, 2), ()))
+        assert plain == FormalTensor(3, {(OD2, OD1, E): 1})
+
+    def test_inversions_name_result_positions(self):
+        assert inversions((0, 1, 2)) == ()
+        assert inversions((2, 0, 1)) == ((0, 1), (0, 2))
 
 
 class TestExtractComponents:
