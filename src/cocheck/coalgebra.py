@@ -8,6 +8,7 @@ never claims unbounded verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Optional, Union
 
 from .errors import RangeError, SpecError
@@ -139,6 +140,9 @@ class CoalgebraSpec:
             raise SpecError("shift_bound must be nonnegative")
         object.__setattr__(self, "_delta_cache", {})
         object.__setattr__(self, "_d_cache", {})
+        # The dual oracle's transposed delta, (l, r) -> [(k, c)] for the
+        # labels k with index <= window; grown by `dual.dual_product`.
+        object.__setattr__(self, "_product_table", SimpleNamespace(window=-1, hits={}))
         object.__setattr__(self, "parity_additive", self._audit_parity_additive())
 
     def _audit_parity_additive(self) -> bool:

@@ -6,13 +6,23 @@ products and transposed derivations finitely supported, with support
 windows computed from the bound; each window is spot-validated before
 use.  These routines serve as an independent oracle against the
 coidentity checker, and the Grassmann envelope check covers the graded
-case.
+case.  The oracle reads only `delta` and `d_label`, never the coidentity
+translation.
+
+Products look their terms up in a transposed-delta table (l, r) ->
+[(k, c)], built from `delta` alone and kept on the spec, so a product
+costs one lookup per pair of support labels instead of a scan of its
+window.  `DualEvaluator` compiles each identity once into its distinct
+subtrees and memoizes every subtree that reads only some slots by the
+functionals at those slots, so the |labels|^arity tuples of
+`bruteforce_identity` share the work of their common sub-tuples.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .coalgebra import (
@@ -29,6 +39,8 @@ from .errors import ShiftBoundError, SpecError
 from .identities import Leaf, NAPoly
 from .linalg import FormalVector, accumulate
 
+_ZERO = FormalVector()
+
 
 def coordinate_functional(spec: CoalgebraSpec, family: str, index: int) -> FormalVector:
     """The coordinate functional dual to one basis label."""
@@ -44,6 +56,28 @@ def _require_window(spec: CoalgebraSpec, max_index: int) -> None:
         )
 
 
+def _transposed_delta(spec: CoalgebraSpec, window: int) -> dict:
+    """The table (l, r) -> [(k, c)] listing every term c l (x) r of
+    delta(k), for all labels k with index <= window.
+
+    It is kept on the spec and grown, never rebuilt: a call with a larger
+    window than any before it adds the labels in between.
+    """
+    table = spec._product_table
+    if window > table.window:
+        found = [
+            (lr, (k, c))
+            for k in spec.labels_upto(window)
+            if k.index > table.window
+            for lr, c in delta(spec, k).items()
+        ]
+        hits = table.hits
+        for lr, hit in found:
+            hits.setdefault(lr, []).append(hit)
+        table.window = window
+    return table.hits
+
+
 def dual_product(
     spec: CoalgebraSpec,
     f: FormalVector,
@@ -54,25 +88,24 @@ def dual_product(
 
     The support of the result lies among labels k with
     k <= max(supp f) + max(supp g) + shift_bound, by the validated
-    shift bound.
+    shift bound; only those are kept, so an unvalidated call sees the
+    same window.  The terms come from the transposed delta table, one
+    lookup per pair of support labels.
     """
     if not f or not g:
-        return FormalVector()
+        return _ZERO
     window = f.max_index() + g.max_index() + spec.shift_bound
     if validate:
         _require_window(spec, window)
-    out = {}
-    for label in spec.labels_upto(window):
-        total = Fraction(0)
-        for (l, r), c in delta(spec, label).items():
-            cf = f.coefficient(l)
-            if cf:
-                cg = g.coefficient(r)
-                if cg:
-                    total += c * cf * cg
-        if total:
-            out[label] = total
-    return FormalVector(out)
+    hits = _transposed_delta(spec, window)
+    out: dict = {}
+    for l, cf in f.items():
+        for r, cg in g.items():
+            found = hits.get((l, r))
+            if found:
+                c = cf * cg
+                accumulate(out, ((k, c * ck) for k, ck in found if k.index <= window))
+    return FormalVector._merged(out)
 
 
 def dual_derivation(
@@ -82,7 +115,7 @@ def dual_derivation(
     if not spec.differential:
         raise SpecError(f"spec {spec.name!r} has no coderivation")
     if not f:
-        return FormalVector()
+        return _ZERO
     window = f.max_index() + spec.shift_bound
     if (
         spec.coderivation_max_index is not None
@@ -107,22 +140,32 @@ def dual_derivation(
 
 
 class DualEvaluator:
-    """Evaluates identity monomials on functionals with memoized products."""
+    """Evaluates identities on functionals with memoized products.
+
+    Each identity is compiled once into its distinct subtrees in post
+    order.  A subtree that reads only some of the slots is memoized by
+    the functionals at those slots, so tuples that agree there share its
+    value; the whole-tuple subtrees are never reused and are not kept.
+    """
 
     def __init__(self, spec: CoalgebraSpec, validated_window: int):
         self.spec = spec
         self.window = validated_window
         self._products: dict = {}
         self._derivs: dict = {}
+        self._plans: dict = {}
+        self._interned: dict = {}
 
     def product(self, f: FormalVector, g: FormalVector) -> FormalVector:
         if not f or not g:
-            return FormalVector()
+            return _ZERO
         key = (f, g)
         cached = self._products.get(key)
         if cached is None:
             cached = dual_product(self.spec, f, g, validate=False)
-            self._products[key] = cached
+            # Equal products share one object, so the memo keys built
+            # from them compare by identity instead of term by term.
+            cached = self._products[key] = self._interned.setdefault(cached, cached)
         return cached
 
     def derivative(self, f: FormalVector, order: int) -> FormalVector:
@@ -135,24 +178,69 @@ class DualEvaluator:
             f = cached
         return f
 
-    def monomial(self, mono, assignment) -> FormalVector:
-        """Evaluate a monomial tree on slot -> functional assignments."""
-        if isinstance(mono, Leaf):
-            return self.derivative(assignment[mono.var.slot], mono.var.deriv)
-        left = self.monomial(mono.left, assignment)
-        if not left:
-            return left
-        right = self.monomial(mono.right, assignment)
-        if not right:
-            return right
-        return self.product(left, right)
+    def _plan(self, p: NAPoly):
+        """Compile p once into its distinct subtrees, deduplicated by
+        `key()`: (leaves, products, groups).
 
-    def polynomial(self, p: NAPoly, assignment) -> FormalVector:
-        out = FormalVector()
-        for coeff, mono in p.terms:
-            value = self.monomial(mono, assignment)
-            if value:
-                out = out + value.scale(coeff)
+        The values of one tuple are the leaves, each (slot position,
+        derivative order), followed by the product subtrees in post
+        order, each (left, right, slot getter, memo).  memo is None for
+        a subtree that reads every slot: no other tuple reuses it.
+        `groups` lists (coeff, value positions) per coefficient of p,
+        with coeff None for 1, so each group is summed and scaled once.
+        """
+        entry = self._plans.get(id(p))
+        if entry is not None:
+            return entry[1]
+        leaves = sorted({(v.slot - 1, v.deriv) for _, m in p.terms for v in m.leaves()})
+        products: list = []
+        where: dict = {}
+
+        def visit(mono):
+            if isinstance(mono, Leaf):
+                return leaves.index((mono.var.slot - 1, mono.var.deriv))
+            key = mono.key()
+            if key not in where:
+                left, right = visit(mono.left), visit(mono.right)
+                slots = sorted({v.slot - 1 for v in mono.leaves()})
+                memo = {} if len(slots) < p.arity else None
+                products.append((left, right, itemgetter(*slots), memo))
+                where[key] = len(leaves) + len(products) - 1
+            return where[key]
+
+        groups: dict = {}
+        for c, mono in p.terms:
+            groups.setdefault(c, []).append(visit(mono))
+        plan = (leaves, products, [(None if c == 1 else c, at) for c, at in groups.items()])
+        self._plans[id(p)] = (p, plan)
+        return plan
+
+    def polynomial(self, p: NAPoly, assignment: tuple) -> FormalVector:
+        """Evaluate p on the functionals of slots 1..arity, in order."""
+        leaves, products, groups = self._plan(p)
+        values = [
+            self.derivative(assignment[slot], order) if order else assignment[slot]
+            for slot, order in leaves
+        ]
+        for left, right, slots, memo in products:
+            if memo is None:
+                value = self.product(values[left], values[right])
+            else:
+                key = slots(assignment)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = self.product(values[left], values[right])
+            values.append(value)
+        out = _ZERO
+        for coeff, group in groups:
+            part = _ZERO
+            for at in group:
+                value = values[at]
+                if value:
+                    part = part + value if part else value
+            if part:
+                part = part if coeff is None else part.scale(coeff)
+                out = out + part if out else part
         return out
 
 
@@ -168,18 +256,13 @@ def bruteforce_identity(
     window = arity * (max_index + depth * spec.shift_bound) + spec.shift_bound
     _require_window(spec, window)
     evaluator = DualEvaluator(spec, window)
-    labels = spec.labels_upto(max_index)
-    functionals = {l: FormalVector.unit(l) for l in labels}
-
-    def residual(tup):
-        return evaluator.polynomial(p, {j + 1: functionals[l] for j, l in enumerate(tup)})
-
+    functionals = [FormalVector.unit(l) for l in spec.labels_upto(max_index)]
     return scan(
         name or f"dual oracle {p}",
         spec.checked_ranges(max_index),
-        itertools.product(labels, repeat=arity),
-        residual,
-        render=lambda tup: "(" + ", ".join(f"xi_{l}" for l in tup) + ")",
+        itertools.product(functionals, repeat=arity),
+        lambda tup: evaluator.polynomial(p, tup),
+        render=lambda tup: "(" + ", ".join(f"xi_{f.leading()}" for f in tup) + ")",
     )
 
 

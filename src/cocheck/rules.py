@@ -235,7 +235,8 @@ class IndexPoly:
             if not m or not m.group(1):
                 if text[pos:].strip():
                     raise SpecFileError(
-                        f"bad character {text[pos:].strip()[0]!r} in expression {text!r}"
+                        f"bad character {text[pos:].strip()[0]!r} in expression "
+                        f"{_quote(text)}"
                     )
                 break
             tokens.append(m.group(1))
@@ -259,6 +260,16 @@ MAX_DEGREE = 32
 # Longest integer literal: Python's default limit on int-string conversion.
 MAX_DIGITS = 4300
 
+# Longest piece of an expression quoted in an error message, so a hostile
+# input does not turn into an error line as long as itself.
+MAX_QUOTE = 60
+
+
+def _quote(text: str) -> str:
+    if len(text) <= MAX_QUOTE:
+        return repr(text)
+    return f"{text[:MAX_QUOTE]!r}... ({len(text)} characters)"
+
 
 class _ExprParser:
     def __init__(self, tokens, text):
@@ -278,7 +289,7 @@ class _ExprParser:
         return tok
 
     def fail(self, message):
-        raise SpecFileError(f"{message} in expression {self.text!r}")
+        raise SpecFileError(f"{message} in expression {_quote(self.text)}")
 
     def nested(self, parse) -> IndexPoly:
         self.depth += 1
@@ -294,7 +305,7 @@ class _ExprParser:
 
     def expect_end(self):
         if self.peek() is not None:
-            self.fail(f"unexpected token {self.peek()!r}")
+            self.fail(f"unexpected token {_quote(self.peek())}")
 
     def parse_expr(self) -> IndexPoly:
         sign = 1

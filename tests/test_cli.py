@@ -165,6 +165,23 @@ class TestHostileInput:
         assert main(["check", *argv]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "coeff",
+        ["n^" + "9" * 5000, "(" * 3000 + "1" + ")" * 3000],
+        ids=["long-exponent", "deep-parentheses"],
+    )
+    def test_rule_expression_error_quotes_an_excerpt(self, capsys, tmp_path, coeff):
+        from cocheck import dumps_spec
+
+        data = json.loads(dumps_spec(builtin("example1")))
+        data["delta"][1]["terms"][0]["coeff"] = coeff
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--spec", str(path), "--checks", "coassoc"]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 200
+        assert f"({len(coeff)} characters)" in err
+
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)

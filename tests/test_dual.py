@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from cocheck import (
+    CoalgebraSpec,
+    FamilyDecl,
     FormalVector,
     ShiftBoundError,
     SpecError,
@@ -13,16 +16,54 @@ from cocheck import (
     builtin_identities,
     check_identity,
     coordinate_functional,
+    delta,
     dual_derivation,
     dual_product,
     grassmann_envelope_check,
 )
+from cocheck.coalgebra import MAX_WITNESSES
 from cocheck.dual import DualEvaluator
-from cocheck.identities import requires_coderivation
+from cocheck.identities import Leaf, requires_coderivation
+from cocheck.rules import delta_term
+
+UNGRADED = ["example1", "example2", "example3", "example4",
+            "example5", "example6", "example9"]
 
 
 def xi(spec, fam, i):
     return coordinate_functional(spec, fam, i)
+
+
+def rescan(spec, f, g, upto):
+    """The product fg on every label up to `upto`, straight from delta."""
+    out = {}
+    for label in spec.labels_upto(upto):
+        total = sum(
+            (c * f.coefficient(l) * g.coefficient(r)
+             for (l, r), c in delta(spec, label).items()),
+            Fraction(0),
+        )
+        if total:
+            out[label] = total
+    return FormalVector(out)
+
+
+def naive_polynomial(spec, p, funcs):
+    """p on the functionals `funcs` of slots 1..arity, by plain recursion
+    through dual_product and dual_derivation with no memo at all."""
+
+    def value(mono):
+        if isinstance(mono, Leaf):
+            f = funcs[mono.var.slot - 1]
+            for _ in range(mono.var.deriv):
+                f = dual_derivation(spec, f, validate=False)
+            return f
+        return dual_product(spec, value(mono.left), value(mono.right), validate=False)
+
+    out = FormalVector()
+    for coeff, mono in p.terms:
+        out = out + value(mono).scale(coeff)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +91,8 @@ class TestDualProduct:
         fg = dual_product(ex2, xi(ex2, "e", 0), xi(ex2, "f", 2))
         assert fg == xi(ex2, "f", 1)
         for fam, idx in (("e", 0), ("f", 1), ("f", 3)):
-            assert not dual_product(ex2, fg, xi(ex2, fam, idx)) or True
+            assert not dual_product(ex2, fg, xi(ex2, fam, idx))
+            assert not dual_product(ex2, xi(ex2, fam, idx), fg)
         # (xy)z = 0: any product of fg with anything vanishes.
         assert not dual_product(ex2, fg, xi(ex2, "f", 1))
 
@@ -77,27 +119,53 @@ class TestDualProduct:
     def test_support_window_is_complete(self, name):
         # No product coefficient hides beyond the shift-bound window:
         # rescan far past it and compare.
-        from cocheck import FormalVector, delta
-
         spec = builtin(name)
         labels = spec.labels_upto(6)
         for f_l, g_l in itertools.product(labels[:8], repeat=2):
             f, g = FormalVector.unit(f_l), FormalVector.unit(g_l)
-            windowed = dual_product(spec, f, g)
-            wide = {}
-            for label in spec.labels_upto(
-                f_l.index + g_l.index + spec.shift_bound + 20
-            ):
-                total = sum(
-                    (
-                        c * f.coefficient(l) * g.coefficient(r)
-                        for (l, r), c in delta(spec, label).items()
-                    ),
-                    Fraction(0),
-                )
-                if total:
-                    wide[label] = total
-            assert windowed == FormalVector(wide)
+            upto = f_l.index + g_l.index + spec.shift_bound + 20
+            assert dual_product(spec, f, g) == rescan(spec, f, g, upto)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example4", "example9"])
+    def test_table_matches_rescan_on_random_functionals(self, name):
+        # The transposed-delta table grows with the largest window asked
+        # for; products at every window up to 8 must still match a
+        # rescan far past the window.
+        spec = builtin(name)
+        rng = random.Random(name)
+        labels = spec.labels_upto(8)
+        coeffs = [Fraction(c, d) for c in (-3, -1, 1, 2) for d in (1, 2)]
+
+        def functional():
+            return FormalVector(
+                (rng.choice(labels), rng.choice(coeffs)) for _ in range(rng.randint(1, 3))
+            )
+
+        for _ in range(60):
+            f, g = functional(), functional()
+            upto = f.max_index() + g.max_index() + spec.shift_bound + 20
+            assert dual_product(spec, f, g) == rescan(spec, f, g, upto)
+
+    def test_table_keeps_only_the_callers_window(self):
+        # delta(f_n) holds f_0 (x) f_0 for every n, so the declared shift
+        # bound 0 fails from n = 1 on and xi_0 xi_0 is supported on every
+        # label.  An unvalidated product still sees only its own window
+        # f.max + g.max + s, even after the table has grown far past it.
+        spec = CoalgebraSpec(
+            name="leaky",
+            families=(FamilyDecl("f"),),
+            delta={"f": [delta_term(1, ("f", 0), ("f", 0)),
+                         delta_term(1, ("f", "n"), ("f", 0))]},
+            shift_bound=0,
+        )
+        f0, f20 = xi(spec, "f", 0), xi(spec, "f", 20)
+        assert dual_product(spec, f20, f0, validate=False) == rescan(spec, f20, f0, 20)
+        assert spec._product_table.window >= 20
+        windowed = dual_product(spec, f0, f0, validate=False)
+        assert windowed == rescan(spec, f0, f0, 0) == FormalVector({spec.label("f", 0): 2})
+        assert rescan(spec, f0, f0, 20) != windowed
+        with pytest.raises(ShiftBoundError):
+            dual_product(spec, f20, f0)
 
     def test_associative_and_commutative_on_example1(self, ex1):
         labels = ex1.labels_upto(10)
@@ -169,6 +237,31 @@ class TestBruteforce:
             "(xi_e:0, xi_e:0, xi_f:1): f:1",
             "(xi_e:0, xi_e:0, xi_f:2): f:2",
         ]
+
+
+class TestSubtreeMemo:
+    @pytest.mark.parametrize("name", UNGRADED)
+    def test_reports_match_naive_recursive_evaluator(self, name, cat):
+        # Same verdict and witness strings as evaluating every monomial
+        # tree afresh on every tuple.
+        spec = builtin(name)
+        labels = spec.labels_upto(3)
+        for ident_name, p in cat.items():
+            if p.arity > 4:
+                continue
+            if requires_coderivation(p) and not spec.differential:
+                continue
+            naive = []
+            for tup in itertools.product(labels, repeat=p.arity):
+                r = naive_polynomial(spec, p, [FormalVector.unit(l) for l in tup])
+                if r:
+                    subject = "(" + ", ".join(f"xi_{l}" for l in tup) + ")"
+                    naive.append(f"{subject}: {r}")
+                    if len(naive) >= MAX_WITNESSES:
+                        break
+            report = bruteforce_identity(spec, p, 3)
+            assert report.passed == (not naive), ident_name
+            assert [str(w) for w in report.witnesses] == naive, ident_name
 
 
 class TestKantorProducts:
