@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_args(p_check)
     p_check.add_argument("--checks", default="", help="comma-separated check names")
     p_check.add_argument("--identity", help="identity expression to check")
-    p_check.add_argument("--signature", help="parity signature such as eeoo")
+    p_check.add_argument("--signature", help="parity signature such as eeoo, for --identity")
     p_check.add_argument("--max-index", type=int, default=30)
     p_check.add_argument("--koszul-pairing", action="store_true")
     p_check.set_defaults(handler=cmd_check)
@@ -287,6 +287,11 @@ def _verdict(report: dict, checks: list):
 
 
 def cmd_check(args):
+    if args.signature is not None and not args.identity:
+        raise SpecFileError(
+            "--signature grades only the identity given with --identity; "
+            "catalog checks run ungraded"
+        )
     obj, provenance = _load(args)
     spec = _require_coalgebra(obj)
     catalog = builtin_identities()
@@ -316,7 +321,7 @@ def cmd_check(args):
                 results.append(identity(catalog[ident], ident))
     if args.identity:
         p = parse_identity(args.identity)
-        if args.signature:
+        if args.signature is not None:
             p = p.with_signature(args.signature)
         results.append(identity(p, f"identity {args.identity}"))
     if not results:

@@ -140,6 +140,10 @@ class CoalgebraSpec:
             raise SpecError("shift_bound must be nonnegative")
         object.__setattr__(self, "_delta_cache", {})
         object.__setattr__(self, "_d_cache", {})
+        # The coidentity plan's view of those two caches, step kind ->
+        # label -> ((key, c), ...) with integral coefficients as int;
+        # grown by `identities._int_terms`.
+        object.__setattr__(self, "_int_cache", {"delta": {}, "d": {}})
         # The dual oracle's transposed delta, (l, r) -> [(k, c)] for the
         # labels k with index <= window; grown by `dual.dual_product`.
         object.__setattr__(self, "_product_table", SimpleNamespace(window=-1, hits={}))

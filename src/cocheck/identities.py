@@ -9,6 +9,15 @@ operator on basis labels checks the identity on the whole dual exactly,
 which is immune to the product distortions a truncated dual algebra
 would introduce.
 
+Each `CoidentityMap` compiles its branches once into a plan: a trie of
+their comultiplication and coderivation steps, keyed by the full step,
+whose nodes carry tail groups, the branches ending there grouped by
+their trailing permutation and projection with summed coefficients.
+`apply` walks the trie depth first, so a prefix shared by many branches
+is computed once per label.  Inside the walk integral coefficients are
+plain `int`s, read from an integer view of the spec's rule caches; the
+result is all `Fraction` again.
+
 Sign convention: the pairing of functionals against tensors carries no
 sign, and Koszul signs enter only through the graded permutation back
 to slot order (`linalg.koszul_sign`).  The `koszul_pairing` switch
@@ -19,7 +28,7 @@ be compared on concrete examples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -254,25 +263,47 @@ class CoidentityMap:
     unconstrained).  On specs whose rules are parity-additive they allow
     terms to be discarded as soon as they are provably dead; the final
     projection stays in place either way, so the result is identical.
+
+    `branches` is the source; `apply` runs the `plan` compiled from it
+    once, a trie of the branches' step prefixes.  Each trie node holds
+    its tail groups: the branches that end there, grouped by their
+    trailing permute and project steps, with their coefficients summed.
+    A depth-first walk computes every shared prefix once per label,
+    permutes it once per tail group, and projects each group's sum once
+    at the end.
     """
 
     arity: int
     branches: tuple  # ((coeff, (step, ...)), ...)
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        root: tuple = ({}, {})
+        for coeff, steps in self.branches:
+            steps = list(steps)
+            project = steps.pop() if steps and steps[-1][0] == "project" else None
+            permute = steps.pop() if steps and steps[-1][0] == "permute" else None
+            node = root
+            for step in steps:
+                node = node[0].setdefault(step, ({}, {}))
+            accumulate(node[1], [((permute, project), coeff)])
+        object.__setattr__(self, "plan", _freeze(root))
 
     def apply(self, spec: CoalgebraSpec, v) -> FormalTensor:
         if not isinstance(v, FormalVector):
             v = FormalVector.unit(v)
-        prune = spec.parity_additive
-        start = {(label,): c for label, c in v.items()}
-        total: dict = {}
-        for coeff, steps in self.branches:
-            t = start
-            for step in steps:
-                t = _apply_step(spec, t, step, prune)
-                if not t:
-                    break
-            accumulate(total, ((key, coeff * c) for key, c in t.items()))
-        return FormalTensor._merged(self.arity, total)
+        totals: dict = {}  # project step -> merged sum of its tail groups
+        start = {(label,): _integral(c) for label, c in v.items()}
+        _walk(spec, self.plan, start, spec.parity_additive, totals)
+        out: dict = {}
+        for project, total in totals.items():
+            if project is not None:
+                total = _apply_step(spec, total, project, False)
+            accumulate(out, (
+                (key, c if type(c) is Fraction else Fraction(c))
+                for key, c in total.items()
+            ))
+        return FormalTensor._merged(self.arity, out)
 
     def describe(self) -> str:
         return format_terms(
@@ -282,6 +313,44 @@ class CoidentityMap:
 
     def __str__(self):
         return self.describe()
+
+
+def _freeze(node) -> tuple:
+    """A trie node as (((step, child), ...), ((permute, project, coeff), ...))."""
+    children, tails = node
+    return (
+        tuple((step, _freeze(child)) for step, child in children.items()),
+        tuple((perm, proj, _integral(c)) for (perm, proj), c in tails.items()),
+    )
+
+
+def _walk(spec, node, t: dict, prune: bool, totals: dict) -> None:
+    children, tails = node
+    for permute, project, coeff in tails:
+        items = t.items()
+        if permute is not None:
+            items = permute_terms(items, permute[1], permute[2])
+        accumulate(totals.setdefault(project, {}), ((key, coeff * c) for key, c in items))
+    for step, child in children:
+        u = _apply_step(spec, t, step, prune)
+        if u:
+            _walk(spec, child, u, prune, totals)
+
+
+def _integral(c):
+    """c as an int when its denominator is 1, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
+    """The terms of delta(spec, label) or d_label(spec, label) as
+    ((key, c), ...), integral coefficients as int; cached on the spec."""
+    cache = spec._int_cache[kind]
+    terms = cache.get(label)
+    if terms is None:
+        value = delta(spec, label) if kind == "delta" else d_label(spec, label)
+        terms = cache[label] = tuple((key, _integral(c)) for key, c in value.items())
+    return terms
 
 
 def _step_name(step) -> str:
@@ -309,17 +378,17 @@ def _apply_step(spec, t: dict, step, prune: bool) -> dict:
     if kind == "delta":
         lreq, rreq = (step[2], step[3]) if prune else (None, None)
         return accumulate({}, (
-            (key[:pos] + (l, r) + key[pos + 1 :], c * c2)
+            (key[:pos] + lr + key[pos + 1 :], c * c2)
             for key, c in t.items()
-            for (l, r), c2 in delta(spec, key[pos]).items()
-            if (lreq is None or l.parity == lreq) and (rreq is None or r.parity == rreq)
+            for lr, c2 in _int_terms(spec, "delta", key[pos])
+            if (lreq is None or lr[0].parity == lreq) and (rreq is None or lr[1].parity == rreq)
         ))
     if kind == "d":
         req = step[2] if prune else None
         return accumulate({}, (
             (key[:pos] + (m,) + key[pos + 1 :], c * c2)
             for key, c in t.items()
-            for m, c2 in d_label(spec, key[pos]).items()
+            for m, c2 in _int_terms(spec, "d", key[pos])
             if req is None or m.parity == req
         ))
     raise SpecError(f"unknown coidentity step {step!r}")

@@ -12,14 +12,23 @@ the single place that adds coefficients into a dict and drops the zeros.
 Results that are already merged are wrapped by the private `_merged`
 constructors, which only sort.  Likewise `koszul_sign` is the single
 place that computes the Koszul sign of a reordering.
+
+`BasisLabel` is a `typing.NamedTuple`, so labels hash, compare and order
+as the plain tuple `(family, index, parity)`.  That keeps the hot dict
+lookups of the engine at C speed, but it also means a label compares
+equal to a plain tuple with the same fields.  The engine never builds
+such tuples: every label comes from `CoalgebraSpec.label`,
+`CoalgebraSpec.labels_upto` or a rule evaluation, and tensor keys are
+tuples *of* labels, never of label fields.  Internal loops may hold
+integral coefficients as `int` (see `CoidentityMap.apply`), but every
+coefficient that crosses a public boundary is a `Fraction`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArityError
 
@@ -31,13 +40,12 @@ def scalar(value: ScalarLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """One basis vector of a countable basis: (family, index, parity).
 
     The pair (family, index) identifies the vector; the parity is a
     function of the family.  Labels order lexicographically by
-    (family, index).
+    (family, index).  A label is a tuple: see the module docstring.
     """
 
     family: str
@@ -299,11 +307,6 @@ class FormalTensor:
     def max_index(self) -> int:
         return max((l.index for key in self._terms for l in key), default=-1)
 
-    def to_vector(self) -> FormalVector:
-        if self._arity != 1:
-            raise ArityError(f"cannot view arity-{self._arity} tensor as a vector")
-        return FormalVector._merged({k[0]: c for k, c in self._terms.items()})
-
     def __str__(self) -> str:
         return format_terms(
             (c, "⊗".join(str(l) for l in key)) for key, c in self._terms.items()
@@ -435,11 +438,15 @@ class EchelonSubspace:
     def reduce(self, v: FormalVector) -> FormalVector:
         # Each row is 1 at its own pivot and 0 at every other pivot, so
         # subtracting one row leaves v's other pivot coefficients alone:
-        # only the pivots in v's own support need a visit, in any order.
+        # v minus c times the row of every pivot in v's own support, in
+        # one pass.
         rows = self._rows
-        for pivot, c in [(l, c) for l, c in v.items() if l in rows]:
-            v = v - rows[pivot].scale(c)
-        return v
+        hits = [(rows[l], c) for l, c in v.items() if l in rows]
+        if not hits:
+            return v
+        return FormalVector._merged(accumulate(dict(v.items()), (
+            (k, -c * rc) for row, c in hits for k, rc in row.items()
+        )))
 
     def __contains__(self, v: FormalVector) -> bool:
         return not self.reduce(v)

@@ -189,6 +189,24 @@ class TestHostileInput:
         assert code == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "example, check",
+        [("example8", "jordan-linearized"), ("example1", "coassoc")],
+    )
+    def test_signature_without_identity(self, capsys, example, check):
+        # Catalog checks run ungraded, so a signature there would be
+        # silently ignored: a wrong FAIL on example8, a PASS on example1.
+        code = main(["check", "--example", example, "--checks", check,
+                     "--signature", "eeee"])
+        assert code == 2
+        assert "--identity" in capsys.readouterr().err
+
+    def test_empty_signature_is_not_ignored(self, capsys):
+        code = main(["check", "--example", "example7",
+                     "--identity", "(x1 x2)", "--signature", ""])
+        assert code == 2
+        assert "signature length 0" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_bracketed_catalog_name_in_checks(self, capsys):

@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 
 from cocheck import (
+    BasisLabel,
+    CoalgebraSpec,
+    CoidentityMap,
     FormalTensor,
     SpecError,
     builtin,
@@ -16,8 +19,24 @@ from cocheck import (
     translate,
     var,
 )
+from cocheck.catalog import list_examples
+from cocheck.coalgebra import d_label
 from cocheck.dual import coordinate_functional
-from cocheck.identities import substitute_slots
+from cocheck.identities import _apply_step, requires_coderivation, substitute_slots
+
+# Graded variants of the catalog checked beside the plain identities.
+SIGNATURES = {
+    "jordan-linearized": ("eeee", "oooo", "eoeo"),
+    "supercommutativity": ("eo", "oo", "oe"),
+    "(xy)(zt)": ("oooo", "eoeo"),
+    "[[x,y],[z,t]]": ("oeoe",),
+    "moufang-linearized": ("oeeo",),
+}
+
+
+def coalgebra_builtins():
+    specs = (builtin(entry.name) for entry in list_examples())
+    return [spec for spec in specs if isinstance(spec, CoalgebraSpec)]
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +115,97 @@ class TestTranslateStructure:
         assert (jordan.count("delta"), jordan.count("permute")) == (36, 12)
         assert set(jordan) == {"delta", "permute"}
         assert "permute" not in kinds(translate(cat["(xy)z"]))
+
+
+def naive_apply(cmap, spec, label):
+    """Every branch from the start, one step at a time: the evaluator the
+    compiled plan replaces."""
+    total: dict = {}
+    for coeff, steps in cmap.branches:
+        t = {(label,): Fraction(1)}
+        for step in steps:
+            t = _apply_step(spec, t, step, spec.parity_additive)
+        for key, c in t.items():
+            total[key] = total.get(key, 0) + coeff * c
+    return FormalTensor(cmap.arity, total)
+
+
+def without_pruning(spec):
+    """A copy of spec whose evaluator keeps every term until the final
+    projection, as on specs whose rules are not parity-additive."""
+    copy = builtin(spec.name)
+    object.__setattr__(copy, "parity_additive", False)
+    return copy
+
+
+class TestCompiledPlan:
+    def test_plan_matches_branch_by_branch_evaluation(self, cat):
+        specs = coalgebra_builtins()
+        specs += [without_pruning(s) for s in specs if any(f.parity for f in s.families)]
+        for spec in specs:
+            for name, p in cat.items():
+                if requires_coderivation(p) and not spec.differential:
+                    continue
+                for q in [p] + [p.with_signature(s) for s in SIGNATURES.get(name, ())]:
+                    for koszul_pairing in (False, True):
+                        cmap = translate(q, koszul_pairing=koszul_pairing)
+                        for label in spec.labels_upto(4 if q.arity <= 3 else 2):
+                            got = cmap.apply(spec, label)
+                            assert got == naive_apply(cmap, spec, label), (
+                                spec.name, str(q), q.signature, koszul_pairing, label)
+                            assert all(type(c) is Fraction for _, c in got.items())
+
+    def test_shared_prefixes_are_walked_once(self, cat):
+        # Jordan's 12 branches: 36 delta steps on 4 distinct prefixes,
+        # delta@1 twice and then delta@1 or delta@3, each leaf holding
+        # the six permutations of its branches.
+        node = translate(cat["jordan-linearized"]).plan
+        for _ in range(2):
+            children, tails = node
+            assert not tails and [step for step, _ in children] == [("delta", 1, None, None)]
+            node = children[0][1]
+        children, tails = node
+        assert not tails
+        assert sorted(step[1] for step, _ in children) == [1, 3]
+        assert [(len(leaf[0]), len(leaf[1])) for _, leaf in children] == [(0, 6), (0, 6)]
+
+    def test_branches_with_one_tail_merge(self):
+        ex1 = builtin("example1")
+        split = ("delta", 1, None, None), ("permute", (1, 0), ())
+        cancelling = CoidentityMap(2, ((Fraction(1), split), (Fraction(-1), split)))
+        assert cancelling.plan == (((split[0], ((), ())),), ())
+        doubled = CoidentityMap(2, ((Fraction(1), split), (Fraction(1, 2), split)))
+        assert doubled.plan[0][0][1][1] == ((split[1], None, Fraction(3, 2)),)
+        for label in ex1.labels_upto(6):
+            assert not cancelling.apply(ex1, label)
+            assert doubled.apply(ex1, label) == naive_apply(doubled, ex1, label)
+
+
+class TestLabelType:
+    def test_engine_keys_are_labels_not_plain_tuples(self, cat):
+        # A label compares equal to the plain tuple of its fields, so a
+        # dict holding both kinds would silently merge them.
+        cmap = translate(cat["jordan-linearized"])  # fails on both specs
+        applied = 0
+        for spec in (builtin("example1"), builtin("example8")):
+            labels = spec.labels_upto(6)
+            assert all(type(l) is BasisLabel for l in labels)
+            for label in labels:
+                for key, _ in delta(spec, label).items():
+                    assert all(type(l) is BasisLabel for l in key)
+                if spec.differential:
+                    assert all(type(m) is BasisLabel for m in d_label(spec, label).labels())
+                for key, _ in cmap.apply(spec, label).items():
+                    assert all(type(l) is BasisLabel for l in key)
+                    applied += 1
+        assert applied
+
+    def test_label_is_the_tuple_of_its_fields(self):
+        label = BasisLabel("f", 3, 1)
+        assert label == ("f", 3, 1) and hash(label) == hash(("f", 3, 1))
+        assert str(label) == "f:3"
+        assert repr(label) == "BasisLabel(family='f', index=3, parity=1)"
+        assert BasisLabel("e", 9) < BasisLabel("f", 0) < BasisLabel("f", 1)
 
 
 class TestCheckIdentity:
