@@ -12,17 +12,24 @@ translation.
 Products look their terms up in a transposed-delta table (l, r) ->
 [(k, c)], built from `delta` alone and kept on the spec, so a product
 costs one lookup per pair of support labels instead of a scan of its
-window.  `DualEvaluator` compiles each identity once into its distinct
-subtrees and memoizes every subtree that reads only some slots by the
-functionals at those slots, so the |labels|^arity tuples of
-`bruteforce_identity` share the work of their common sub-tuples.
+window.  The table holds integral coefficients as `int`; `dual_product`
+multiplies them into `Fraction`s, so its results stay `Fraction`-valued.
+
+`bruteforce_identity` runs the |labels|^arity tuples as a loop nest over
+the slots (`DualEvaluator.nonzero_residuals`): each subtree of the identity
+is evaluated in the loop of its last slot, once per prefix or through a
+memo keyed by label positions, on plain dicts with `int` coefficients
+where they are integral.  The top-level products of a tuple go straight
+into one residual dict.  Only a tuple whose residual is nonzero is
+evaluated again, by `DualEvaluator.polynomial` in `Fraction`s, to build
+its witness.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .coalgebra import (
@@ -37,7 +44,7 @@ from .coalgebra import (
 )
 from .errors import ShiftBoundError, SpecError
 from .identities import Leaf, NAPoly
-from .linalg import FormalVector, accumulate
+from .linalg import FormalVector, accumulate, integral
 
 _ZERO = FormalVector()
 
@@ -58,7 +65,8 @@ def _require_window(spec: CoalgebraSpec, max_index: int) -> None:
 
 def _transposed_delta(spec: CoalgebraSpec, window: int) -> dict:
     """The table (l, r) -> [(k, c)] listing every term c l (x) r of
-    delta(k), for all labels k with index <= window.
+    delta(k), for all labels k with index <= window; integral
+    coefficients are held as `int`.
 
     It is kept on the spec and grown, never rebuilt: a call with a larger
     window than any before it adds the labels in between.
@@ -66,7 +74,7 @@ def _transposed_delta(spec: CoalgebraSpec, window: int) -> dict:
     table = spec._product_table
     if window > table.window:
         found = [
-            (lr, (k, c))
+            (lr, (k, integral(c)))
             for k in spec.labels_upto(window)
             if k.index > table.window
             for lr, c in delta(spec, k).items()
@@ -76,6 +84,22 @@ def _transposed_delta(spec: CoalgebraSpec, window: int) -> dict:
             hits.setdefault(lr, []).append(hit)
         table.window = window
     return table.hits
+
+
+def _product_terms(hits: dict, window: int, f, g, scale=1):
+    """The (k, c) terms of scale * fg for f and g given as label ->
+    coefficient maps, one table lookup per pair of support labels, with
+    k kept only when its index is <= window."""
+    for l, cf in f.items():
+        if scale != 1:
+            cf = cf * scale
+        for r, cg in g.items():
+            found = hits.get((l, r))
+            if found:
+                c = cf * cg
+                for k, ck in found:
+                    if k.index <= window:
+                        yield k, c * ck
 
 
 def dual_product(
@@ -90,7 +114,8 @@ def dual_product(
     k <= max(supp f) + max(supp g) + shift_bound, by the validated
     shift bound; only those are kept, so an unvalidated call sees the
     same window.  The terms come from the transposed delta table, one
-    lookup per pair of support labels.
+    lookup per pair of support labels.  The coefficients of f and g are
+    `Fraction`s, and so are those of the result.
     """
     if not f or not g:
         return _ZERO
@@ -98,14 +123,7 @@ def dual_product(
     if validate:
         _require_window(spec, window)
     hits = _transposed_delta(spec, window)
-    out: dict = {}
-    for l, cf in f.items():
-        for r, cg in g.items():
-            found = hits.get((l, r))
-            if found:
-                c = cf * cg
-                accumulate(out, ((k, c * ck) for k, ck in found if k.index <= window))
-    return FormalVector._merged(out)
+    return FormalVector._merged(accumulate({}, _product_terms(hits, window, f, g)))
 
 
 def dual_derivation(
@@ -139,13 +157,28 @@ def dual_derivation(
     return FormalVector(out)
 
 
+_UNSET = object()
+_INDEX = attrgetter("index")
+
+
 class DualEvaluator:
-    """Evaluates identities on functionals with memoized products.
+    """Evaluates identities on functionals, on one validated window.
 
     Each identity is compiled once into its distinct subtrees in post
-    order.  A subtree that reads only some of the slots is memoized by
-    the functionals at those slots, so tuples that agree there share its
-    value; the whole-tuple subtrees are never reused and are not kept.
+    order.  `nonzero_residuals` runs that plan over every tuple of a label
+    list as a loop nest over the slots, in `itertools.product` order.  A
+    subtree is evaluated inside the loop of its last slot: once per
+    prefix when it reads a prefix of the slots, and otherwise through a
+    memo keyed by the label positions at its slots, so tuples that agree
+    there share its value.  A derivative leaf is computed once per label.
+    Inside the nest a value is a plain dict with integral coefficients
+    held as `int`, paired with its largest label index; the top-level
+    products of one tuple are summed straight into its residual.
+
+    `polynomial` evaluates the same plan on one tuple of `FormalVector`s,
+    through the memoized `product`, with `Fraction` coefficients
+    throughout; `bruteforce_identity` rebuilds each witness with it and
+    checks it against the nest's residual.
     """
 
     def __init__(self, spec: CoalgebraSpec, validated_window: int):
@@ -163,8 +196,7 @@ class DualEvaluator:
         cached = self._products.get(key)
         if cached is None:
             cached = dual_product(self.spec, f, g, validate=False)
-            # Equal products share one object, so the memo keys built
-            # from them compare by identity instead of term by term.
+            # Equal products share one object, which keeps the memo small.
             cached = self._products[key] = self._interned.setdefault(cached, cached)
         return cached
 
@@ -180,14 +212,12 @@ class DualEvaluator:
 
     def _plan(self, p: NAPoly):
         """Compile p once into its distinct subtrees, deduplicated by
-        `key()`: (leaves, products, groups).
+        `key()`: (leaves, products, terms).
 
-        The values of one tuple are the leaves, each (slot position,
-        derivative order), followed by the product subtrees in post
-        order, each (left, right, slot getter, memo).  memo is None for
-        a subtree that reads every slot: no other tuple reuses it.
-        `groups` lists (coeff, value positions) per coefficient of p,
-        with coeff None for 1, so each group is summed and scaled once.
+        The subtrees are numbered leaves first, each (slot position,
+        derivative order), then the products in post order, each (left,
+        right, sorted slot positions).  `terms` lists (coeff, subtree)
+        for the monomials of p.
         """
         entry = self._plans.get(id(p))
         if entry is not None:
@@ -202,53 +232,147 @@ class DualEvaluator:
             key = mono.key()
             if key not in where:
                 left, right = visit(mono.left), visit(mono.right)
-                slots = sorted({v.slot - 1 for v in mono.leaves()})
-                memo = {} if len(slots) < p.arity else None
-                products.append((left, right, itemgetter(*slots), memo))
+                slots = tuple(sorted({v.slot - 1 for v in mono.leaves()}))
+                products.append((left, right, slots))
                 where[key] = len(leaves) + len(products) - 1
             return where[key]
 
-        groups: dict = {}
-        for c, mono in p.terms:
-            groups.setdefault(c, []).append(visit(mono))
-        plan = (leaves, products, [(None if c == 1 else c, at) for c, at in groups.items()])
+        plan = (leaves, products, [(c, visit(mono)) for c, mono in p.terms])
         self._plans[id(p)] = (p, plan)
         return plan
 
-    def polynomial(self, p: NAPoly, assignment: tuple) -> FormalVector:
+    def polynomial(self, p: NAPoly, assignment) -> FormalVector:
         """Evaluate p on the functionals of slots 1..arity, in order."""
-        leaves, products, groups = self._plan(p)
-        values = [
-            self.derivative(assignment[slot], order) if order else assignment[slot]
-            for slot, order in leaves
-        ]
-        for left, right, slots, memo in products:
-            if memo is None:
-                value = self.product(values[left], values[right])
-            else:
-                key = slots(assignment)
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = self.product(values[left], values[right])
-            values.append(value)
+        leaves, products, terms = self._plan(p)
+        values = [self.derivative(assignment[slot], order) for slot, order in leaves]
+        for left, right, _ in products:
+            values.append(self.product(values[left], values[right]))
         out = _ZERO
-        for coeff, group in groups:
-            part = _ZERO
-            for at in group:
-                value = values[at]
-                if value:
-                    part = part + value if part else value
-            if part:
-                part = part if coeff is None else part.scale(coeff)
-                out = out + part if out else part
+        for coeff, at in terms:
+            value = values[at]
+            if value:
+                value = value if coeff == 1 else value.scale(coeff)
+                out = out + value if out else value
         return out
+
+    def _leaf_value(self, label, order: int):
+        """The loop value of the order-th transposed derivative of the
+        coordinate functional of `label`."""
+        f = self.derivative(FormalVector.unit(label), order)
+        if not f:
+            return None
+        return {k: integral(c) for k, c in f.items()}, f.max_index()
+
+    def nonzero_residuals(self, p: NAPoly, labels: list):
+        """Yield (tuple, residual), in `itertools.product` order, for
+        every tuple of `labels`, one per slot, on whose coordinate
+        functionals p is nonzero; the residual is p's value there, as a
+        label -> coefficient dict with integral coefficients as `int`.
+
+        Every product of the nest keeps only the labels k with
+        k.index <= max f + max g + shift_bound, like `dual_product`.
+        """
+        leaves, products, terms = self._plan(p)
+        arity, s, n = p.arity, self.spec.shift_bound, len(labels)
+        hits = _transposed_delta(self.spec, self.window)
+        # Per slot, its leaves' values by label position; a derivative
+        # is filled in on first use, so its errors surface in tuple order.
+        set_leaves: list = [[] for _ in range(arity)]
+        for at, (slot, order) in enumerate(leaves):
+            table = [_UNSET] * n if order else [({l: 1}, l.index) for l in labels]
+            set_leaves[slot].append((at, order, table))
+        # A monomial reads every slot, so it is never a proper subtree of
+        # another one: the roots are summed into the residual, never stored.
+        roots = {at for _, at in terms}
+        # A subtree whose first missing slot position is m is reused
+        # only while positions 0..m-1, all its own, stay fixed: its memo
+        # is keyed by its positions past m and emptied whenever the loop
+        # at position m-1 moves on.
+        steps: list = [[] for _ in range(arity)]
+        clears: list = [[] for _ in range(arity)]
+        for at, (left, right, slots) in enumerate(products, len(leaves)):
+            if at in roots:
+                continue
+            m = next((j for j, slot in enumerate(slots) if slot != j), None)
+            memo = None
+            if m is not None:
+                memo = ({}, itemgetter(*slots[m:]))
+                if m:
+                    clears[m - 1].append(memo[0])
+            steps[slots[-1]].append((at, left, right, memo))
+        # (coeff, left, right) per monomial, or (coeff, leaf, None) at
+        # arity 1, where every monomial is a leaf.
+        tops = [
+            (integral(coeff), at, None) if at < len(leaves)
+            else (integral(coeff),) + products[at - len(leaves)][:2]
+            for coeff, at in terms
+        ]
+        values: list = [None] * (len(leaves) + len(products))
+
+        def product(a, b):
+            if a is None or b is None:
+                return None
+            out = accumulate({}, _product_terms(hits, a[1] + b[1] + s, a[0], b[0]))
+            return (out, max(map(_INDEX, out))) if out else None
+
+        # The loops run as an odometer over pos, so the nest holds no
+        # recursive closure, and its memos are freed as soon as the
+        # caller drops it.
+        pos = [-1] * arity
+        last = arity - 1
+        d = 0
+        while d >= 0:
+            i = pos[d] = pos[d] + 1
+            if i == n:
+                pos[d] = -1
+                d -= 1
+                continue
+            for cache in clears[d]:
+                cache.clear()
+            for at, order, table in set_leaves[d]:
+                value = table[i]
+                if value is _UNSET:
+                    value = table[i] = self._leaf_value(labels[i], order)
+                values[at] = value
+            for at, left, right, memo in steps[d]:
+                if memo is None:
+                    values[at] = product(values[left], values[right])
+                    continue
+                cache, key = memo
+                k = key(pos)
+                value = cache.get(k, _UNSET)
+                if value is _UNSET:
+                    value = cache[k] = product(values[left], values[right])
+                values[at] = value
+            if d < last:
+                d += 1
+                continue
+            residual: dict = {}
+            for coeff, left, right in tops:
+                a = values[left]
+                if a is None:
+                    continue
+                if right is None:
+                    accumulate(residual, ((k, coeff * c) for k, c in a[0].items()))
+                    continue
+                b = values[right]
+                if b is not None:
+                    accumulate(residual, _product_terms(
+                        hits, a[1] + b[1] + s, a[0], b[0], coeff))
+            if residual:
+                yield tuple(labels[j] for j in pos), residual
 
 
 def bruteforce_identity(
     spec: CoalgebraSpec, p: NAPoly, max_index: int, name: Optional[str] = None
 ) -> CheckReport:
     """Evaluate p on every tuple of coordinate functionals with indices
-    <= max_index and assert each resulting functional vanishes exactly."""
+    <= max_index and assert each resulting functional vanishes exactly.
+
+    The tuples run through `DualEvaluator.nonzero_residuals`.  The
+    residual of each tuple it yields is rebuilt as a `FormalVector` by
+    `DualEvaluator.polynomial` for the witness, and the two evaluations
+    must agree."""
     if not p.is_multilinear():
         raise SpecError(f"identity is not multilinear: {p}")
     arity = p.arity
@@ -256,13 +380,26 @@ def bruteforce_identity(
     window = arity * (max_index + depth * spec.shift_bound) + spec.shift_bound
     _require_window(spec, window)
     evaluator = DualEvaluator(spec, window)
-    functionals = [FormalVector.unit(l) for l in spec.labels_upto(max_index)]
+
+    def witness(found):
+        tup, residual = found
+        value = evaluator.polynomial(p, [FormalVector.unit(l) for l in tup])
+        if value != FormalVector(residual):
+            raise RuntimeError(
+                f"dual oracle: the loop nest and the witness rebuild disagree "
+                f"at {render(found)}: {FormalVector(residual)} != {value}"
+            )
+        return value
+
+    def render(found):
+        return "(" + ", ".join(f"xi_{l}" for l in found[0]) + ")"
+
     return scan(
         name or f"dual oracle {p}",
         spec.checked_ranges(max_index),
-        itertools.product(functionals, repeat=arity),
-        lambda tup: evaluator.polynomial(p, tup),
-        render=lambda tup: "(" + ", ".join(f"xi_{f.leading()}" for f in tup) + ")",
+        evaluator.nonzero_residuals(p, spec.labels_upto(max_index)),
+        witness,
+        render=render,
     )
 
 
@@ -370,6 +507,8 @@ def grassmann_envelope_check(
     """
     if generators < 3:
         raise SpecError("grassmann_envelope_check needs at least 3 generators")
+    if samples < 1:
+        raise SpecError("grassmann_envelope_check needs at least 1 sample")
     rng = random.Random(seed)
     even_labels = [l for l in spec.labels_upto(max_index) if l.parity == 0]
     odd_labels = [l for l in spec.labels_upto(max_index) if l.parity == 1]

@@ -41,8 +41,8 @@ from .coalgebra import (
 )
 from .errors import SpecError
 from .linalg import (
-    FormalTensor, FormalVector, accumulate, format_terms, inversions, koszul_sign,
-    permute_terms, scalar,
+    FormalTensor, FormalVector, accumulate, format_terms, integral, inversions,
+    koszul_sign, permute_terms, scalar,
 )
 
 
@@ -293,7 +293,7 @@ class CoidentityMap:
         if not isinstance(v, FormalVector):
             v = FormalVector.unit(v)
         totals: dict = {}  # project step -> merged sum of its tail groups
-        start = {(label,): _integral(c) for label, c in v.items()}
+        start = {(label,): integral(c) for label, c in v.items()}
         _walk(spec, self.plan, start, spec.parity_additive, totals)
         out: dict = {}
         for project, total in totals.items():
@@ -320,7 +320,7 @@ def _freeze(node) -> tuple:
     children, tails = node
     return (
         tuple((step, _freeze(child)) for step, child in children.items()),
-        tuple((perm, proj, _integral(c)) for (perm, proj), c in tails.items()),
+        tuple((perm, proj, integral(c)) for (perm, proj), c in tails.items()),
     )
 
 
@@ -337,11 +337,6 @@ def _walk(spec, node, t: dict, prune: bool, totals: dict) -> None:
             _walk(spec, child, u, prune, totals)
 
 
-def _integral(c):
-    """c as an int when its denominator is 1, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
     """The terms of delta(spec, label) or d_label(spec, label) as
     ((key, c), ...), integral coefficients as int; cached on the spec."""
@@ -349,7 +344,7 @@ def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
     terms = cache.get(label)
     if terms is None:
         value = delta(spec, label) if kind == "delta" else d_label(spec, label)
-        terms = cache[label] = tuple((key, _integral(c)) for key, c in value.items())
+        terms = cache[label] = tuple((key, integral(c)) for key, c in value.items())
     return terms
 
 

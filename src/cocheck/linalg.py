@@ -20,13 +20,14 @@ equal to a plain tuple with the same fields.  The engine never builds
 such tuples: every label comes from `CoalgebraSpec.label`,
 `CoalgebraSpec.labels_upto` or a rule evaluation, and tensor keys are
 tuples *of* labels, never of label fields.  Internal loops may hold
-integral coefficients as `int` (see `CoidentityMap.apply`), but every
-coefficient that crosses a public boundary is a `Fraction`.
+integral coefficients as `int` (`integral`; see `CoidentityMap.apply`
+and `DualEvaluator.nonzero_residuals`), but every coefficient that
+crosses a public boundary is a `Fraction`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -54,6 +55,11 @@ class BasisLabel(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.family}:{self.index}"
+
+
+def integral(c):
+    """c as an int when its denominator is 1, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def format_terms(pairs) -> str:
@@ -333,17 +339,27 @@ def koszul_sign(parities, pairs) -> int:
     return sign
 
 
+_PARITY = attrgetter("parity")
+
+
 def permute_terms(items, perm, pairs):
     """Yield the (key, coeff) pairs with every key permuted by `perm` (of
     at least two factors) and each coefficient times the Koszul sign of
     `pairs`: `inversions(perm)` for a graded reordering, () for a plain one.
     A permutation is a bijection on keys, so merged input yields merged
-    output."""
+    output.  The sign depends only on the factor parities of a key, so it
+    is computed once per parity pattern, at most 2**len(perm) times."""
     take = itemgetter(*perm)
+    signs: dict = {}  # parity pattern -> Koszul sign
     for key, c in items:
         key = take(key)
-        if pairs and koszul_sign([l.parity for l in key], pairs) < 0:
-            c = -c
+        if pairs:
+            pattern = tuple(map(_PARITY, key))
+            sign = signs.get(pattern)
+            if sign is None:
+                sign = signs[pattern] = koszul_sign(pattern, pairs)
+            if sign < 0:
+                c = -c
         yield key, c
 
 

@@ -207,6 +207,14 @@ class TestHostileInput:
         assert code == 2
         assert "signature length 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_grassmann_without_samples_is_not_a_pass(self, capsys, samples):
+        # No sample checks nothing, so it must not report pass.
+        code = main(["dual", "grassmann", "--example", "example7",
+                     "--samples", samples])
+        assert code == 2
+        assert "at least 1 sample" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_bracketed_catalog_name_in_checks(self, capsys):

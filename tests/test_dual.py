@@ -24,7 +24,8 @@ from cocheck import (
 from cocheck.coalgebra import MAX_WITNESSES
 from cocheck.dual import DualEvaluator
 from cocheck.identities import Leaf, requires_coderivation
-from cocheck.rules import delta_term
+from cocheck.identlang import parse_identity
+from cocheck.rules import Guard, delta_term
 
 UNGRADED = ["example1", "example2", "example3", "example4",
             "example5", "example6", "example9"]
@@ -239,29 +240,133 @@ class TestBruteforce:
         ]
 
 
+def naive_failures(spec, p, bound, limit=None):
+    """(tuple, residual) for the tuples of labels up to `bound` on which
+    `naive_polynomial` is nonzero, in tuple order, at most `limit`."""
+    out = []
+    for tup in itertools.product(spec.labels_upto(bound), repeat=p.arity):
+        r = naive_polynomial(spec, p, [FormalVector.unit(l) for l in tup])
+        if r:
+            out.append((tup, r))
+            if len(out) == limit:
+                break
+    return out
+
+
+def witness_strings(failures):
+    return ["(" + ", ".join(f"xi_{l}" for l in tup) + f"): {r}" for tup, r in failures]
+
+
+def half_spec():
+    """delta(f_n) = sum_i (i + 1)/2 f_i (x) f_{n-i}: a table with both
+    integral and non-integral coefficients, neither commutative nor
+    associative."""
+    return CoalgebraSpec(
+        name="half",
+        families=(FamilyDecl("f"),),
+        delta={"f": [delta_term("i/2 + 1/2", ("f", "i"), ("f", "n - i"), sum_upper=0)]},
+        shift_bound=0,
+    )
+
+
+RATIONAL = "1/2 (x1 x2) x3 - 1/3 x1 (x2 x3)"
+RATIONAL_PRIMES = "(x1' x2) x3 - 2/3 x1 (x2' x3')"
+
+
 class TestSubtreeMemo:
     @pytest.mark.parametrize("name", UNGRADED)
     def test_reports_match_naive_recursive_evaluator(self, name, cat):
         # Same verdict and witness strings as evaluating every monomial
         # tree afresh on every tuple.
         spec = builtin(name)
-        labels = spec.labels_upto(3)
         for ident_name, p in cat.items():
             if p.arity > 4:
                 continue
             if requires_coderivation(p) and not spec.differential:
                 continue
-            naive = []
-            for tup in itertools.product(labels, repeat=p.arity):
-                r = naive_polynomial(spec, p, [FormalVector.unit(l) for l in tup])
-                if r:
-                    subject = "(" + ", ".join(f"xi_{l}" for l in tup) + ")"
-                    naive.append(f"{subject}: {r}")
-                    if len(naive) >= MAX_WITNESSES:
-                        break
+            naive = witness_strings(naive_failures(spec, p, 3, MAX_WITNESSES))
             report = bruteforce_identity(spec, p, 3)
             assert report.passed == (not naive), ident_name
             assert [str(w) for w in report.witnesses] == naive, ident_name
+
+    @pytest.mark.parametrize("spec_name, identity", [
+        ("half", "associativity"),
+        ("half", "commutativity"),
+        ("half", "(xy)(zt)"),
+        ("half", "jordan-linearized"),
+        ("example1", RATIONAL),
+        ("example4", RATIONAL),
+        ("half", RATIONAL),
+        ("example1", "x'y'"),
+        ("example4", "x'y'"),
+        ("example1", RATIONAL_PRIMES),
+        ("example4", RATIONAL_PRIMES),
+    ])
+    def test_fraction_boundary(self, spec_name, identity, cat):
+        # Non-integral table coefficients, rational identity coefficients
+        # and derivative leaves: the loop nest finds exactly the naive
+        # evaluator's nonzero tuples and values, and every witness is a
+        # Fraction.
+        spec = half_spec() if spec_name == "half" else builtin(spec_name)
+        p = cat[identity] if identity in cat else parse_identity(identity)
+        bound = 3
+        naive = naive_failures(spec, p, bound)
+        report = bruteforce_identity(spec, p, bound)
+        assert report.passed == (not naive)
+        assert [str(w) for w in report.witnesses] == witness_strings(naive[:MAX_WITNESSES])
+        depth = max(v.deriv for _, m in p.terms for v in m.leaves()) + 1
+        window = p.arity * (bound + depth * spec.shift_bound) + spec.shift_bound
+        evaluator = DualEvaluator(spec, window)
+        found = evaluator.nonzero_residuals(p, spec.labels_upto(bound))
+        assert [(tup, FormalVector(r)) for tup, r in found] == naive
+        for tup, r in naive:
+            rebuilt = evaluator.polynomial(p, [FormalVector.unit(l) for l in tup])
+            assert rebuilt == r
+            assert all(type(c) is Fraction for _, c in rebuilt.items())
+
+    def test_nest_keeps_each_products_window(self, cat):
+        # delta(f_20) gains f_0 (x) f_0, so the shift bound 0 holds only
+        # below 20.  Once an unvalidated product has grown the table past
+        # 20, the oracle on a small validated window must still match a
+        # fresh spec: every product of the nest keeps its own window.
+        def spec():
+            return CoalgebraSpec(
+                name="late-leak",
+                families=(FamilyDecl("f"),),
+                delta={"f": [delta_term(1, ("f", "i"), ("f", "n - i"), sum_upper=0),
+                             delta_term(1, ("f", 0), ("f", 0), guard=Guard.eq(20))]},
+                shift_bound=0,
+            )
+
+        grown = spec()
+        dual_product(grown, xi(grown, "f", 20), xi(grown, "f", 0), validate=False)
+        assert grown._product_table.window >= 20
+        for ident in ("associativity", "jordan-linearized", "(xy)z", "(xy)(zt)"):
+            fresh = bruteforce_identity(spec(), cat[ident], 2)
+            assert fresh.passed == (ident in ("associativity", "jordan-linearized"))
+            assert bruteforce_identity(grown, cat[ident], 2) == fresh, ident
+
+    def test_witness_rebuild_must_agree_with_the_nest(self, ex1, cat, monkeypatch):
+        # A nest residual that the Fraction rebuild does not reproduce is
+        # an engine fault: it raises instead of being reported or dropped.
+        def wrong(self, p, labels):
+            yield (labels[0], labels[0]), {labels[0]: 7}
+
+        monkeypatch.setattr(DualEvaluator, "nonzero_residuals", wrong)
+        with pytest.raises(RuntimeError, match="disagree"):
+            bruteforce_identity(ex1, cat["commutativity"], 2)
+
+    def test_fraction_cases_reach_non_integral_values(self, cat):
+        # The cases above would leave the Fraction branch untested if
+        # every value they met were integral.
+        spec = half_spec()
+        bruteforce_identity(spec, cat["commutativity"], 2)
+        coeffs = [c for found in spec._product_table.hits.values() for _, c in found]
+        assert {type(c) for c in coeffs} == {int, Fraction}
+        for spec, identity in ((spec, "associativity"), (builtin("example4"), RATIONAL)):
+            p = cat[identity] if identity in cat else parse_identity(identity)
+            failures = naive_failures(spec, p, 3)
+            assert any(c.denominator > 1 for _, r in failures for _, c in r.items())
 
 
 class TestKantorProducts:
