@@ -200,16 +200,15 @@ def simplicity_probe(
     horizon: int,
     trials: int = 5,
     seed: int = 0,
-    max_steps: Optional[int] = None,
-    stop_at_first_failure: bool = True,
 ) -> SimplicityReport:
+    if trials < 0:
+        raise SpecError(f"simplicity probe needs trials >= 0, got {trials}")
     window_labels = spec.labels_upto(horizon)
     if not window_labels:
         raise SpecError("horizon too small: no labels in the verified window")
-    if max_steps is None:
-        # Rules may alternate between families, so the index frontier can
-        # advance every second step.
-        max_steps = 2 * horizon + 8
+    # Rules may alternate between families, so the index frontier can
+    # advance every second step.
+    max_steps = 2 * horizon + 8
     max_dim = len(window_labels) + 8
     rng = random.Random(seed)
     coeff_pool = [Fraction(c) for c in (-2, -1, 1, 2, 3)]
@@ -245,7 +244,7 @@ def simplicity_probe(
                 missing=missing,
             )
         )
-        if not passed and stop_at_first_failure:
+        if not passed:
             break
     return SimplicityReport(
         passed=passed,

@@ -19,17 +19,18 @@ multiplies them into `Fraction`s, so its results stay `Fraction`-valued.
 the slots (`DualEvaluator.nonzero_residuals`): each subtree of the identity
 is evaluated in the loop of its last slot, once per prefix or through a
 memo keyed by label positions, on plain dicts with `int` coefficients
-where they are integral.  The top-level products of a tuple go straight
-into one residual dict.  Only a tuple whose residual is nonzero is
-evaluated again, by `DualEvaluator.polynomial` in `Fraction`s, to build
-its witness.
+where they are integral.  Every product of the nest keeps the labels of
+the one validated window, and the top-level products of a tuple go
+straight into one residual dict.  Only a tuple whose residual is nonzero
+is evaluated again, by `DualEvaluator.polynomial` through the unmemoized
+`dual_product` and `dual_derivation` in `Fraction`s, to build its witness.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Optional
 
 from .coalgebra import (
@@ -158,92 +159,69 @@ def dual_derivation(
 
 
 _UNSET = object()
-_INDEX = attrgetter("index")
+
+
+def _compile(p: NAPoly):
+    """Compile p into its distinct subtrees, deduplicated by `key()`:
+    (leaves, products, terms).
+
+    The subtrees are numbered leaves first, each (slot position,
+    derivative order), then the products in post order, each (left,
+    right, sorted slot positions).  `terms` lists (coeff, subtree) for
+    the monomials of p.
+    """
+    leaves = sorted({(v.slot - 1, v.deriv) for _, m in p.terms for v in m.leaves()})
+    products: list = []
+    where: dict = {}
+
+    def visit(mono):
+        if isinstance(mono, Leaf):
+            return leaves.index((mono.var.slot - 1, mono.var.deriv))
+        key = mono.key()
+        if key not in where:
+            left, right = visit(mono.left), visit(mono.right)
+            slots = tuple(sorted({v.slot - 1 for v in mono.leaves()}))
+            products.append((left, right, slots))
+            where[key] = len(leaves) + len(products) - 1
+        return where[key]
+
+    return leaves, products, [(c, visit(mono)) for c, mono in p.terms]
 
 
 class DualEvaluator:
     """Evaluates identities on functionals, on one validated window.
 
-    Each identity is compiled once into its distinct subtrees in post
-    order.  `nonzero_residuals` runs that plan over every tuple of a label
-    list as a loop nest over the slots, in `itertools.product` order.  A
-    subtree is evaluated inside the loop of its last slot: once per
-    prefix when it reads a prefix of the slots, and otherwise through a
-    memo keyed by the label positions at its slots, so tuples that agree
-    there share its value.  A derivative leaf is computed once per label.
-    Inside the nest a value is a plain dict with integral coefficients
-    held as `int`, paired with its largest label index; the top-level
-    products of one tuple are summed straight into its residual.
+    `nonzero_residuals` runs the distinct subtrees of an identity over
+    every tuple of a label list as a loop nest over the slots, in
+    `itertools.product` order.  A subtree is evaluated inside the loop of
+    its last slot: once per prefix when it reads a prefix of the slots,
+    and otherwise through a memo keyed by the label positions at its
+    slots.  A derivative leaf is computed once per label.  Inside the
+    nest a value is a plain label -> coefficient dict, or None for zero,
+    with integral coefficients held as `int`; every product keeps the
+    labels of the one validated window, and the top-level products of a
+    tuple are summed straight into its residual.
 
-    `polynomial` evaluates the same plan on one tuple of `FormalVector`s,
-    through the memoized `product`, with `Fraction` coefficients
-    throughout; `bruteforce_identity` rebuilds each witness with it and
-    checks it against the nest's residual.
+    `product`, `derivative` and `polynomial` keep no memo: they call
+    `dual_product` and `dual_derivation`, in `Fraction`s throughout.
+    `bruteforce_identity` rebuilds each witness with `polynomial`.
     """
 
     def __init__(self, spec: CoalgebraSpec, validated_window: int):
         self.spec = spec
         self.window = validated_window
-        self._products: dict = {}
-        self._derivs: dict = {}
-        self._plans: dict = {}
-        self._interned: dict = {}
 
     def product(self, f: FormalVector, g: FormalVector) -> FormalVector:
-        if not f or not g:
-            return _ZERO
-        key = (f, g)
-        cached = self._products.get(key)
-        if cached is None:
-            cached = dual_product(self.spec, f, g, validate=False)
-            # Equal products share one object, which keeps the memo small.
-            cached = self._products[key] = self._interned.setdefault(cached, cached)
-        return cached
+        return dual_product(self.spec, f, g, validate=False)
 
     def derivative(self, f: FormalVector, order: int) -> FormalVector:
         for _ in range(order):
-            key = f
-            cached = self._derivs.get(key)
-            if cached is None:
-                cached = dual_derivation(self.spec, f, validate=False)
-                self._derivs[key] = cached
-            f = cached
+            f = dual_derivation(self.spec, f, validate=False)
         return f
-
-    def _plan(self, p: NAPoly):
-        """Compile p once into its distinct subtrees, deduplicated by
-        `key()`: (leaves, products, terms).
-
-        The subtrees are numbered leaves first, each (slot position,
-        derivative order), then the products in post order, each (left,
-        right, sorted slot positions).  `terms` lists (coeff, subtree)
-        for the monomials of p.
-        """
-        entry = self._plans.get(id(p))
-        if entry is not None:
-            return entry[1]
-        leaves = sorted({(v.slot - 1, v.deriv) for _, m in p.terms for v in m.leaves()})
-        products: list = []
-        where: dict = {}
-
-        def visit(mono):
-            if isinstance(mono, Leaf):
-                return leaves.index((mono.var.slot - 1, mono.var.deriv))
-            key = mono.key()
-            if key not in where:
-                left, right = visit(mono.left), visit(mono.right)
-                slots = tuple(sorted({v.slot - 1 for v in mono.leaves()}))
-                products.append((left, right, slots))
-                where[key] = len(leaves) + len(products) - 1
-            return where[key]
-
-        plan = (leaves, products, [(c, visit(mono)) for c, mono in p.terms])
-        self._plans[id(p)] = (p, plan)
-        return plan
 
     def polynomial(self, p: NAPoly, assignment) -> FormalVector:
         """Evaluate p on the functionals of slots 1..arity, in order."""
-        leaves, products, terms = self._plan(p)
+        leaves, products, terms = _compile(p)
         values = [self.derivative(assignment[slot], order) for slot, order in leaves]
         for left, right, _ in products:
             values.append(self.product(values[left], values[right]))
@@ -255,31 +233,27 @@ class DualEvaluator:
                 out = out + value if out else value
         return out
 
-    def _leaf_value(self, label, order: int):
-        """The loop value of the order-th transposed derivative of the
-        coordinate functional of `label`."""
-        f = self.derivative(FormalVector.unit(label), order)
-        if not f:
-            return None
-        return {k: integral(c) for k, c in f.items()}, f.max_index()
-
     def nonzero_residuals(self, p: NAPoly, labels: list):
         """Yield (tuple, residual), in `itertools.product` order, for
         every tuple of `labels`, one per slot, on whose coordinate
         functionals p is nonzero; the residual is p's value there, as a
         label -> coefficient dict with integral coefficients as `int`.
-
-        Every product of the nest keeps only the labels k with
-        k.index <= max f + max g + shift_bound, like `dual_product`.
         """
-        leaves, products, terms = self._plan(p)
-        arity, s, n = p.arity, self.spec.shift_bound, len(labels)
-        hits = _transposed_delta(self.spec, self.window)
+        leaves, products, terms = _compile(p)
+        arity, window, n = p.arity, self.window, len(labels)
+        # `bruteforce_identity` has validated the shift bound up to window,
+        # so every k <= window reached from supports f and g has k.index <=
+        # max f + max g + shift_bound, and its window formula keeps that
+        # per-product bound <= window for every product of the nest.  So
+        # filtering at the one window keeps exactly the terms `dual_product`
+        # would, and still drops the table entries past it that unvalidated
+        # products left behind.
+        hits = _transposed_delta(self.spec, window)
         # Per slot, its leaves' values by label position; a derivative
         # is filled in on first use, so its errors surface in tuple order.
         set_leaves: list = [[] for _ in range(arity)]
         for at, (slot, order) in enumerate(leaves):
-            table = [_UNSET] * n if order else [({l: 1}, l.index) for l in labels]
+            table = [_UNSET] * n if order else [{l: 1} for l in labels]
             set_leaves[slot].append((at, order, table))
         # A monomial reads every slot, so it is never a proper subtree of
         # another one: the roots are summed into the residual, never stored.
@@ -312,8 +286,7 @@ class DualEvaluator:
         def product(a, b):
             if a is None or b is None:
                 return None
-            out = accumulate({}, _product_terms(hits, a[1] + b[1] + s, a[0], b[0]))
-            return (out, max(map(_INDEX, out))) if out else None
+            return accumulate({}, _product_terms(hits, window, a, b)) or None
 
         # The loops run as an odometer over pos, so the nest holds no
         # recursive closure, and its memos are freed as soon as the
@@ -332,7 +305,8 @@ class DualEvaluator:
             for at, order, table in set_leaves[d]:
                 value = table[i]
                 if value is _UNSET:
-                    value = table[i] = self._leaf_value(labels[i], order)
+                    f = self.derivative(FormalVector.unit(labels[i]), order)
+                    value = table[i] = {k: integral(c) for k, c in f.items()} or None
                 values[at] = value
             for at, left, right, memo in steps[d]:
                 if memo is None:
@@ -353,12 +327,11 @@ class DualEvaluator:
                 if a is None:
                     continue
                 if right is None:
-                    accumulate(residual, ((k, coeff * c) for k, c in a[0].items()))
+                    accumulate(residual, ((k, coeff * c) for k, c in a.items()))
                     continue
                 b = values[right]
                 if b is not None:
-                    accumulate(residual, _product_terms(
-                        hits, a[1] + b[1] + s, a[0], b[0], coeff))
+                    accumulate(residual, _product_terms(hits, window, a, b, coeff))
             if residual:
                 yield tuple(labels[j] for j in pos), residual
 
@@ -491,6 +464,10 @@ def envelope_product(
     return GrassmannElement(out)
 
 
+# Every one of the 2^generators exterior monomials is listed up front.
+MAX_GENERATORS = 16
+
+
 def grassmann_envelope_check(
     spec: CoalgebraSpec,
     generators: int = 3,
@@ -507,6 +484,9 @@ def grassmann_envelope_check(
     """
     if generators < 3:
         raise SpecError("grassmann_envelope_check needs at least 3 generators")
+    if generators > MAX_GENERATORS:
+        raise SpecError(
+            f"grassmann_envelope_check allows at most {MAX_GENERATORS} generators")
     if samples < 1:
         raise SpecError("grassmann_envelope_check needs at least 1 sample")
     rng = random.Random(seed)

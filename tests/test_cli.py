@@ -1,6 +1,8 @@
 import json
+import shlex
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -88,6 +90,24 @@ class TestExitCodes:
     def test_empty_window_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         assert "nothing was checked" in capsys.readouterr().err
+
+    def test_readme_commands(self, capsys, monkeypatch, tmp_path):
+        # Every documented command still runs: each passes, except the
+        # two closure runs from --generators, which diverge (exit 3).
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines() if line]
+        monkeypatch.chdir(tmp_path)
+        codes, expected = [], []
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "cocheck", line
+            codes.append((line, main(argv[1:])))
+            diverges = argv[1] == "closure" and "--generators" in argv
+            expected.append((line, 3 if diverges else 0))
+        capsys.readouterr()
+        assert codes == expected
+        assert sum(code == 3 for _, code in codes) == 2
 
 
 class TestHostileInput:
@@ -214,6 +234,25 @@ class TestHostileInput:
                      "--samples", samples])
         assert code == 2
         assert "at least 1 sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generators", ["17", "40"])
+    def test_grassmann_generators_are_bounded(self, capsys, generators):
+        # All 2^G exterior monomials are listed before any sample, so a
+        # large G must be refused before the listing, not exhaust memory.
+        started = time.monotonic()
+        code = main(["dual", "grassmann", "--example", "example7",
+                     "--generators", generators, "--samples", "1"])
+        assert time.monotonic() - started < 1
+        assert code == 2
+        assert "at most 16 generators" in capsys.readouterr().err
+
+    def test_negative_trials_are_not_ignored(self, capsys):
+        # A negative trial count runs no random trial, so it must not be
+        # reported as a pass of that many trials.
+        code = main(["closure", "simplicity", "--example", "example5",
+                     "--horizon", "4", "--trials", "-3"])
+        assert code == 2
+        assert "trials >= 0" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -328,7 +328,8 @@ class TestSubtreeMemo:
         # delta(f_20) gains f_0 (x) f_0, so the shift bound 0 holds only
         # below 20.  Once an unvalidated product has grown the table past
         # 20, the oracle on a small validated window must still match a
-        # fresh spec: every product of the nest keeps its own window.
+        # fresh spec: every product of the nest filters at the validated
+        # window, which drops the table entries past it.
         def spec():
             return CoalgebraSpec(
                 name="late-leak",
