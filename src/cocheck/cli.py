@@ -174,12 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
         "mode", nargs="?", default="finiteness", choices=["finiteness", "simplicity"]
     )
     _spec_args(p_closure)
+    # Each mode takes only its own flags; the defaults are in CLOSURE_FLAGS.
     p_closure.add_argument("--generators", help="comma-separated labels like f:1,~f:2")
-    p_closure.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p_closure.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-    p_closure.add_argument("--horizon", type=int, default=20)
-    p_closure.add_argument("--trials", type=int, default=5)
-    p_closure.add_argument("--seed", type=int, default=0)
+    p_closure.add_argument("--max-steps", type=int)
+    p_closure.add_argument("--max-dim", type=int)
+    p_closure.add_argument("--horizon", type=int)
+    p_closure.add_argument("--trials", type=int)
+    p_closure.add_argument("--seed", type=int)
     p_closure.set_defaults(handler=cmd_closure)
 
     p_construct = sub.add_parser("construct", help="derive a new spec and write it")
@@ -329,7 +330,27 @@ def cmd_check(args):
     return _verdict({"spec": provenance}, results)
 
 
+# closure mode -> {flag destination: default}
+CLOSURE_FLAGS = {
+    "finiteness": {
+        "generators": None,
+        "max_steps": DEFAULT_MAX_STEPS,
+        "max_dim": DEFAULT_MAX_DIM,
+    },
+    "simplicity": {"horizon": 20, "trials": 5, "seed": 0},
+}
+
+
 def cmd_closure(args):
+    for mode, flags in CLOSURE_FLAGS.items():
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif mode != args.mode:
+                raise SpecFileError(
+                    f"--{dest.replace('_', '-')} is a closure {mode} flag; "
+                    f"closure {args.mode} does not take it"
+                )
     obj, provenance = _load(args)
     spec = _require_coalgebra(obj)
     if args.mode == "simplicity":

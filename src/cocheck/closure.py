@@ -7,6 +7,12 @@ only finitely many coordinate functionals act nontrivially on a given
 vector.  Differential specs close under the coderivation as part of the
 step.  Divergence is always reported as evidence with the exact growth
 trace, never as a theorem.
+
+A run inserts each distinct component once, and a windowed run stops as
+soon as its span is the whole window.  The simplicity probe runs many
+closures over one spec and one window, and its runs share one memo of
+each row's windowed components.  None of this changes a trace's rows,
+its final dimension or the steps up to saturation.
 """
 from __future__ import annotations
 
@@ -22,6 +28,9 @@ from .linalg import EchelonSubspace, FormalVector, extract_components
 DEFAULT_MAX_STEPS = 64
 DEFAULT_MAX_DIM = 4096
 MAX_MISSING = 5
+# Every random start is built before the first run, and its rows stay in
+# the probe's memo, so the trial count bounds the probe's memory.
+MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -35,8 +44,9 @@ class ClosureTrace:
     """Growth record of one closure run.
 
     `verdict` is "closed" or "budget-exceeded"; a closed trace means the
-    final step added nothing.  The subspace is the working echelon basis
-    reached when the run stopped.
+    final step added nothing or, for a windowed run, that the span is the
+    whole window.  The subspace is the working echelon basis reached when
+    the run stopped.
     """
 
     verdict: str
@@ -71,12 +81,8 @@ def bimodule_step(spec: CoalgebraSpec, subspace: EchelonSubspace) -> EchelonSubs
     return out
 
 
-def _window_filter(v: FormalVector, window: Optional[int]) -> Optional[FormalVector]:
-    if window is None:
-        return v
-    if v.max_index() > window:
-        return None
-    return v
+def _in_window(v: FormalVector, window: Optional[int]) -> bool:
+    return window is None or v.max_index() <= window
 
 
 def generated_subcoalgebra(
@@ -85,43 +91,63 @@ def generated_subcoalgebra(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_dim: int = DEFAULT_MAX_DIM,
     window: Optional[int] = None,
+    *,
+    memo: Optional[dict] = None,
 ) -> ClosureTrace:
     """Iterate closure steps from the generators to a fixed point or budget.
 
     Rows are processed once, at the step after they arrive; since a
     row's components depend linearly on the row, this reaches the same
-    fixed point as re-processing whole subspaces.  With `window`,
-    components supported beyond the index window are dropped; the result
-    is then only the tracked part of the subcoalgebra.
+    fixed point as re-processing whole subspaces.  A component already
+    inserted in this run is skipped: it stays in the span for good.
+    With `window`, components supported beyond the index window are
+    dropped; the result is then only the tracked part of the
+    subcoalgebra, and the run ends "closed" as soon as that part is the
+    whole window, since no later insert could add a row.
+
+    `memo` maps a processed row to its nonzero window-filtered
+    components, and is valid for one spec and one window only; runs
+    over the same spec and window may share one dict.  It changes no
+    result.  None means a fresh dict for this call.
     """
     if max_steps < 1 or max_dim < 1:
         raise SpecError("closure budget must be positive")
+    if memo is None:
+        memo = {}
+    full = None if window is None else len(spec.labels_upto(window))
     sub = EchelonSubspace()
     queue = []
     for g in generators:
-        g = _window_filter(g, window)
-        if g is None:
+        if not _in_window(g, window):
             raise SpecError("generator lies outside the tracking window")
         inserted = sub.insert(g)
         if inserted is not None:
             queue.append(inserted)
+    seen = set()
     steps = []
     verdict = "closed"
-    while queue:
+    while queue and sub.dim != full:
         if len(steps) >= max_steps:
             verdict = "budget-exceeded"
             break
         current, queue = queue, []
         added = []
         for v in current:
-            for comp in components(spec, v):
-                comp = _window_filter(comp, window)
-                if comp is None or not comp:
+            comps = memo.get(v)
+            if comps is None:
+                comps = memo[v] = [
+                    c for c in components(spec, v) if c and _in_window(c, window)
+                ]
+            for comp in comps:
+                if comp in seen:
                     continue
+                seen.add(comp)
                 inserted = sub.insert(comp)
                 if inserted is not None:
                     queue.append(inserted)
                     added.append(str(inserted.leading()))
+            if sub.dim == full:
+                break
         steps.append(ClosureStep(dim=sub.dim, added=tuple(added)))
         if sub.dim > max_dim:
             verdict = "budget-exceeded"
@@ -203,6 +229,10 @@ def simplicity_probe(
 ) -> SimplicityReport:
     if trials < 0:
         raise SpecError(f"simplicity probe needs trials >= 0, got {trials}")
+    if trials > MAX_TRIALS:
+        raise SpecError(
+            f"simplicity probe takes at most {MAX_TRIALS} trials, got {trials}"
+        )
     window_labels = spec.labels_upto(horizon)
     if not window_labels:
         raise SpecError("horizon too small: no labels in the verified window")
@@ -223,9 +253,11 @@ def simplicity_probe(
 
     runs = []
     passed = True
+    memo: dict = {}  # shared by every run: one spec, one window
     for name, v in starts:
         trace = generated_subcoalgebra(
-            spec, [v], max_steps=max_steps, max_dim=max_dim, window=horizon
+            spec, [v], max_steps=max_steps, max_dim=max_dim, window=horizon,
+            memo=memo,
         )
         saturated = trace.final_dim == len(window_labels)
         missing = ()

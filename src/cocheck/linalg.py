@@ -27,6 +27,7 @@ crosses a public boundary is a `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -384,7 +385,8 @@ def extract_components(t: FormalTensor, side: str = "left"):
         groups.setdefault(key, {})[other] = c
     pairs = []
     for key in sorted(groups):
-        grouped = FormalVector(groups[key])
+        # The terms of a tensor are merged, so each group is too.
+        grouped = FormalVector._merged(groups[key])
         unit = FormalVector.unit(key)
         pairs.append((unit, grouped) if side == "left" else (grouped, unit))
     return pairs
@@ -455,13 +457,23 @@ class EchelonSubspace:
         # Each row is 1 at its own pivot and 0 at every other pivot, so
         # subtracting one row leaves v's other pivot coefficients alone:
         # v minus c times the row of every pivot in v's own support, in
-        # one pass.
+        # one pass.  A row's pivot is its first item, so every pivot
+        # entry of v cancels exactly and no tail touches a pivot: the
+        # result is v's non-pivot entries plus -c times each hit row's
+        # tail.
         rows = self._rows
-        hits = [(rows[l], c) for l, c in v.items() if l in rows]
+        hits = []
+        rest = {}
+        for l, c in v.items():
+            row = rows.get(l)
+            if row is None:
+                rest[l] = c
+            else:
+                hits.append((row, c))
         if not hits:
             return v
-        return FormalVector._merged(accumulate(dict(v.items()), (
-            (k, -c * rc) for row, c in hits for k, rc in row.items()
+        return FormalVector._merged(accumulate(rest, (
+            (k, -c * rc) for row, c in hits for k, rc in islice(row.items(), 1, None)
         )))
 
     def __contains__(self, v: FormalVector) -> bool:

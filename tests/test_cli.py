@@ -254,6 +254,35 @@ class TestHostileInput:
         assert code == 2
         assert "trials >= 0" in capsys.readouterr().err
 
+    def test_trials_are_bounded(self, capsys):
+        # Every random start is built before the first run, so a huge
+        # trial count must be refused up front, not exhaust memory.
+        started = time.monotonic()
+        code = main(["closure", "simplicity", "--example", "example8",
+                     "--horizon", "3", "--trials", "1001"])
+        assert time.monotonic() - started < 1
+        assert code == 2
+        assert "at most 1000 trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simplicity", "--example", "example5", "--horizon", "4",
+          "--generators", "f:1"], "--generators"),
+        (["simplicity", "--example", "example5", "--horizon", "4",
+          "--max-steps", "1"], "--max-steps"),
+        (["simplicity", "--example", "example5", "--max-dim", "9"], "--max-dim"),
+        (["--example", "example1", "--generators", "e:0", "--horizon", "4",
+          "--trials", "9", "--seed", "3"], "--horizon"),
+        (["--example", "example1", "--generators", "e:0", "--trials", "9"],
+         "--trials"),
+        (["--example", "example1", "--generators", "e:0", "--seed", "0"],
+         "--seed"),
+    ])
+    def test_closure_refuses_the_other_modes_flags(self, capsys, argv, flag):
+        # A flag of the other closure mode would be silently ignored.
+        code = main(["closure", *argv])
+        assert code == 2
+        assert f"{flag} is a closure" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_bracketed_catalog_name_in_checks(self, capsys):

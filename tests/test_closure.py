@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from cocheck import (
+    BasisLabel,
     CoalgebraSpec,
     EchelonSubspace,
     FamilyDecl,
@@ -14,6 +18,15 @@ from cocheck import (
     local_finiteness_probe,
     simplicity_probe,
 )
+from cocheck import closure
+from cocheck.closure import (
+    DEFAULT_MAX_DIM,
+    DEFAULT_MAX_STEPS,
+    ClosureStep,
+    ClosureTrace,
+)
+from cocheck.coalgebra import apply_d, delta_linear
+from cocheck.linalg import accumulate
 from cocheck.rules import delta_term
 
 
@@ -186,3 +199,169 @@ class TestSimplicityProbe:
         ex9 = builtin("example9")
         with pytest.raises(SpecError):
             simplicity_probe(ex9, -1)
+
+
+# -- Differential tests against the plain closure loop ---------------------
+#
+# The references below are the closure loop and the echelon reduction as
+# they were before the loop shared components, skipped repeated inserts and
+# stopped at saturation: every row's components are recomputed, every
+# component is inserted, and each reduction subtracts whole rows.
+
+COALGEBRAS = [f"example{i}" for i in range(1, 10)]
+
+
+class ReferenceEchelon(EchelonSubspace):
+    """An echelon subspace whose reduction subtracts c times the whole row
+    of every pivot in v's support, pivot entries included."""
+
+    def reduce(self, v):
+        rows = self._rows
+        hits = [(rows[l], c) for l, c in v.items() if l in rows]
+        if not hits:
+            return v
+        return FormalVector._merged(accumulate(dict(v.items()), (
+            (k, -c * rc) for row, c in hits for k, rc in row.items()
+        )))
+
+
+def reference_components(spec, v):
+    """components(), grouping delta(v) by hand through the coercing
+    constructor."""
+    t = delta_linear(spec, v)
+    out = []
+    for side in (0, 1):
+        groups = {}
+        for key, c in t.items():
+            groups.setdefault(key[side], []).append((key[1 - side], c))
+        out.extend(FormalVector(groups[k]) for k in sorted(groups))
+    if spec.differential:
+        out.append(apply_d(spec, v))
+    return out
+
+
+def reference_closure(spec, generators, max_steps=DEFAULT_MAX_STEPS,
+                      max_dim=DEFAULT_MAX_DIM, window=None, **_):
+    sub = ReferenceEchelon()
+    queue = []
+    for g in generators:
+        if window is not None and g.max_index() > window:
+            raise SpecError("generator lies outside the tracking window")
+        inserted = sub.insert(g)
+        if inserted is not None:
+            queue.append(inserted)
+    steps = []
+    verdict = "closed"
+    while queue:
+        if len(steps) >= max_steps:
+            verdict = "budget-exceeded"
+            break
+        current, queue = queue, []
+        added = []
+        for v in current:
+            for comp in reference_components(spec, v):
+                if not comp or (window is not None and comp.max_index() > window):
+                    continue
+                inserted = sub.insert(comp)
+                if inserted is not None:
+                    queue.append(inserted)
+                    added.append(str(inserted.leading()))
+        steps.append(ClosureStep(dim=sub.dim, added=tuple(added)))
+        if sub.dim > max_dim:
+            verdict = "budget-exceeded"
+            break
+    return ClosureTrace(verdict=verdict, steps=tuple(steps),
+                        final_dim=sub.dim, subspace=sub)
+
+
+def probe_or_error(spec, horizon, seed):
+    try:
+        return simplicity_probe(spec, horizon, seed=seed)
+    except SpecError as exc:
+        return str(exc)
+
+
+def index_one_generators(spec):
+    labels = spec.labels_upto(2)
+    return [FormalVector.unit(l) for l in labels if l.index == 1] or [
+        FormalVector.unit(labels[-1])
+    ]
+
+
+def window_starts(spec, window):
+    """Every window label, and a few fixed combinations of them."""
+    labels = spec.labels_upto(window)
+    starts = [FormalVector.unit(l) for l in labels]
+    for k in range(len(labels) - 1):
+        starts.append(FormalVector({labels[k]: 2, labels[-1 - k]: Fraction(-1, 3)}))
+    return starts
+
+
+class TestClosureMatchesReference:
+    @pytest.mark.parametrize("name", COALGEBRAS)
+    def test_simplicity_reports(self, name, monkeypatch):
+        spec = builtin(name)
+        cases = [(h, seed) for h in range(11) for seed in (0, 7)]
+        got = [probe_or_error(spec, h, seed) for h, seed in cases]
+        monkeypatch.setattr(closure, "generated_subcoalgebra", reference_closure)
+        want = [probe_or_error(builtin(name), h, seed) for h, seed in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("name", COALGEBRAS)
+    @pytest.mark.parametrize("max_steps", [3, 12, 30])
+    def test_unwindowed_traces(self, name, max_steps):
+        spec = builtin(name)
+        generators = index_one_generators(spec)
+        got = generated_subcoalgebra(spec, generators, max_steps=max_steps)
+        want = reference_closure(spec, generators, max_steps=max_steps)
+        assert got == want
+        assert got.subspace.rows() == want.subspace.rows()
+
+    @pytest.mark.parametrize("name", COALGEBRAS)
+    @pytest.mark.parametrize("window, max_steps", [(3, 14), (6, 20), (6, 2)])
+    def test_windowed_traces(self, name, window, max_steps):
+        spec = builtin(name)
+        full = len(spec.labels_upto(window))
+        memo = {}
+        for v in window_starts(spec, window):
+            kwargs = dict(max_steps=max_steps, max_dim=full + 8, window=window)
+            got = generated_subcoalgebra(spec, [v], **kwargs)
+            assert generated_subcoalgebra(spec, [v], memo=memo, **kwargs) == got
+            want = reference_closure(spec, [v], **kwargs)
+            assert got.final_dim == want.final_dim
+            assert got.subspace.rows() == want.subspace.rows()
+            n = len(got.steps)
+            assert got.steps == want.steps[:n]
+            # Past saturation the plain loop only adds empty steps.
+            assert all(not s.added for s in want.steps[n:])
+            if got.verdict != want.verdict:
+                assert (got.verdict, got.final_dim) == ("closed", full)
+
+    @pytest.mark.parametrize("name", ["example5", "example8", "example9"])
+    def test_shared_memo_changes_no_report(self, name):
+        spec = builtin(name)
+        memo = {}
+        for v in window_starts(spec, 5):
+            fresh = generated_subcoalgebra(spec, [v], window=5)
+            shared = generated_subcoalgebra(spec, [v], window=5, memo=memo)
+            assert shared == fresh
+            assert shared.subspace.rows() == fresh.subspace.rows()
+        assert memo
+
+
+fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+small_vectors_st = st.dictionaries(
+    st.builds(BasisLabel, st.sampled_from("ab"), st.integers(0, 3)),
+    fractions_st,
+    max_size=5,
+).map(FormalVector)
+
+
+class TestPivotFreeReduce:
+    @given(st.lists(small_vectors_st, max_size=6), small_vectors_st)
+    def test_matches_full_accumulate_reduction(self, rows, v):
+        sub = EchelonSubspace(rows)
+        reference = ReferenceEchelon(rows)
+        assert sub.rows() == reference.rows()
+        assert sub.reduce(v) == reference.reduce(v)
+        assert (v in sub) == (v in reference)
