@@ -78,6 +78,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.monotonic()
     try:
+        _mode_flags(args)
         report, code = args.handler(args)
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mode", nargs="?", default="finiteness", choices=["finiteness", "simplicity"]
     )
     _spec_args(p_closure)
-    # Each mode takes only its own flags; the defaults are in CLOSURE_FLAGS.
+    # Each mode takes only its own flags; the defaults are in MODE_FLAGS.
     p_closure.add_argument("--generators", help="comma-separated labels like f:1,~f:2")
     p_closure.add_argument("--max-steps", type=int)
     p_closure.add_argument("--max-dim", type=int)
@@ -185,12 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_construct = sub.add_parser("construct", help="derive a new spec and write it")
     p_construct.add_argument(
-        "construction",
+        "mode",
+        metavar="construction",
         choices=["gelfand-dorfman", "antisymmetrize", "kantor", "graded-dual"],
     )
     _spec_args(p_construct)
     p_construct.add_argument("-o", "--output", required=True)
-    p_construct.add_argument("--horizon", type=int, default=64)
+    p_construct.add_argument("--horizon", type=int)
     p_construct.set_defaults(handler=cmd_construct)
 
     p_dual = sub.add_parser("dual", help="dual-algebra products and oracles")
@@ -199,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("--left", help="label of the left coordinate functional")
     p_dual.add_argument("--right", help="label of the right coordinate functional")
     p_dual.add_argument("--identity", help="identity expression")
-    p_dual.add_argument("--bound", type=int, default=8)
-    p_dual.add_argument("--generators", type=int, default=3)
-    p_dual.add_argument("--samples", type=int, default=50)
-    p_dual.add_argument("--seed", type=int, default=0)
-    p_dual.add_argument("--max-index", type=int, default=6)
+    p_dual.add_argument("--bound", type=int)
+    p_dual.add_argument("--generators", type=int)
+    p_dual.add_argument("--samples", type=int)
+    p_dual.add_argument("--seed", type=int)
+    p_dual.add_argument("--max-index", type=int)
     p_dual.set_defaults(handler=cmd_dual)
 
     p_list = sub.add_parser("list-examples", help="list builtin examples")
@@ -216,6 +218,40 @@ def build_parser() -> argparse.ArgumentParser:
             help="zero the timing field for byte-identical reports",
         )
     return parser
+
+
+# command -> mode -> {flag destination: default}.  Each mode takes only
+# its own flags: a flag of another mode would be silently ignored.
+MODE_FLAGS = {
+    "closure": {
+        "finiteness": {
+            "generators": None,
+            "max_steps": DEFAULT_MAX_STEPS,
+            "max_dim": DEFAULT_MAX_DIM,
+        },
+        "simplicity": {"horizon": 20, "trials": 5, "seed": 0},
+    },
+    "dual": {
+        "product": {"left": None, "right": None},
+        "identity": {"identity": None, "bound": 8},
+        "grassmann": {"generators": 3, "samples": 50, "seed": 0, "max_index": 6},
+    },
+    "construct": {"graded-dual": {"horizon": 64}},
+}
+
+
+def _mode_flags(args) -> None:
+    """Fill in the defaults of the flags of args.mode; refuse a flag of
+    another mode of the same command."""
+    for mode, flags in MODE_FLAGS.get(args.command, {}).items():
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif mode != args.mode:
+                raise SpecFileError(
+                    f"--{dest.replace('_', '-')} is a {args.command} {mode} flag; "
+                    f"{args.command} {args.mode} does not take it"
+                )
 
 
 def _spec_args(parser) -> None:
@@ -330,27 +366,7 @@ def cmd_check(args):
     return _verdict({"spec": provenance}, results)
 
 
-# closure mode -> {flag destination: default}
-CLOSURE_FLAGS = {
-    "finiteness": {
-        "generators": None,
-        "max_steps": DEFAULT_MAX_STEPS,
-        "max_dim": DEFAULT_MAX_DIM,
-    },
-    "simplicity": {"horizon": 20, "trials": 5, "seed": 0},
-}
-
-
 def cmd_closure(args):
-    for mode, flags in CLOSURE_FLAGS.items():
-        for dest, default in flags.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-            elif mode != args.mode:
-                raise SpecFileError(
-                    f"--{dest.replace('_', '-')} is a closure {mode} flag; "
-                    f"closure {args.mode} does not take it"
-                )
     obj, provenance = _load(args)
     spec = _require_coalgebra(obj)
     if args.mode == "simplicity":
@@ -391,15 +407,15 @@ def cmd_closure(args):
 
 def cmd_construct(args):
     obj, provenance = _load(args)
-    if args.construction == "graded-dual":
+    if args.mode == "graded-dual":
         if not isinstance(obj, GradedAlgebraSpec):
             raise SpecFileError("graded-dual needs a graded algebra input")
         spec = graded_dual(obj, horizon=args.horizon)
     else:
         source = _require_coalgebra(obj)
-        if args.construction == "gelfand-dorfman":
+        if args.mode == "gelfand-dorfman":
             spec = gelfand_dorfman(source)
-        elif args.construction == "antisymmetrize":
+        elif args.mode == "antisymmetrize":
             spec = antisymmetrize(source)
         else:
             spec = kantor(source)

@@ -7,6 +7,11 @@ polynomials in (n, i) with rational coefficients.  Terms may carry a
 guard restricting them to a residue class of n or to one exact n, which
 is what lets a single family follow different rules on interleaved
 index classes and lets finite transposition tables share the format.
+
+`IndexPoly.parse` reads coefficients and indices written with n, i,
+integers, `+ - * / ^` and parentheses.  The bounds shared with the
+identity language (nesting, literal length, error quotes) are in
+`syntax`; this module adds the degree bound MAX_DEGREE.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from typing import Optional
 
 from .errors import SpecError, SpecFileError
 from .linalg import accumulate, scalar
+from .syntax import Descent, quote
 
 
 @dataclass(frozen=True)
@@ -223,33 +229,11 @@ class IndexPoly:
     def __repr__(self) -> str:
         return f"IndexPoly({self})"
 
-    _TOKEN = re.compile(r"\s*(\d+|[ni()+\-*/^]|$)")
-
     @classmethod
     def parse(cls, text: str) -> "IndexPoly":
         """Parse "+ - * / ^"-expressions over n, i, and rational constants."""
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = cls._TOKEN.match(text, pos)
-            if not m or not m.group(1):
-                if text[pos:].strip():
-                    raise SpecFileError(
-                        f"bad character {text[pos:].strip()[0]!r} in expression "
-                        f"{_quote(text)}"
-                    )
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
-        parser = _ExprParser(tokens, text)
-        result = parser.parse_expr()
-        parser.expect_end()
-        return result
+        return _ExprParser(text).parse()
 
-
-# Deepest nesting of parentheses and unary minus signs accepted; the
-# parser recurses once per level.
-MAX_NESTING = 50
 
 # Highest total degree a product or power in an expression may reach, and
 # the highest exponent: `power` multiplies once per unit of exponent.
@@ -257,67 +241,16 @@ MAX_NESTING = 50
 # coefficient, so inputs of degree <= 16 give outputs that parse again.
 MAX_DEGREE = 32
 
-# Longest integer literal: Python's default limit on int-string conversion.
-MAX_DIGITS = 4300
 
-# Longest piece of an expression quoted in an error message, so a hostile
-# input does not turn into an error line as long as itself.
-MAX_QUOTE = 60
+class _ExprParser(Descent):
+    TOKEN = re.compile(r"\s*(\d+|[ni()+\-*/^])")
 
-
-def _quote(text: str) -> str:
-    if len(text) <= MAX_QUOTE:
-        return repr(text)
-    return f"{text[:MAX_QUOTE]!r}... ({len(text)} characters)"
-
-
-class _ExprParser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-        if any(len(tok) > MAX_DIGITS for tok in tokens):
-            self.fail(f"integer literal longer than {MAX_DIGITS} digits")
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        raise SpecFileError(f"{message} in expression {_quote(self.text)}")
-
-    def nested(self, parse) -> IndexPoly:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
-        out = parse()
-        self.depth -= 1
-        return out
+    def fail(self, message, offset=None):
+        raise SpecFileError(f"{message} in expression {quote(self.text)}")
 
     def bounded(self, degree: int):
         if degree > MAX_DEGREE:
             self.fail(f"degree above {MAX_DEGREE}")
-
-    def expect_end(self):
-        if self.peek() is not None:
-            self.fail(f"unexpected token {_quote(self.peek())}")
-
-    def parse_expr(self) -> IndexPoly:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        out = self.parse_term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.parse_term()
-            out = out + (term if op == "+" else -term)
-        return out
 
     def parse_term(self) -> IndexPoly:
         out = self.parse_factor()
@@ -330,6 +263,8 @@ class _ExprParser:
             else:
                 if rhs.degree():
                     self.fail("division only by constants")
+                if not rhs:
+                    self.fail("division by zero")
                 out = out.scale(1 / rhs.evaluate(0, 0))
         return out
 
@@ -359,7 +294,7 @@ class _ExprParser:
             return IndexPoly.var_i()
         if tok is not None and tok.isdigit():
             return IndexPoly.const(int(tok))
-        self.fail(f"unexpected token {tok!r}")
+        self.fail(f"unexpected token {quote(tok)}")
 
 
 ONE = IndexPoly.const(1)

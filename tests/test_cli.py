@@ -126,7 +126,7 @@ class TestHostileInput:
         path.write_text(json.dumps(data))
         code = main(["check", "--spec", str(path), "--checks", "coassoc"])
         assert code == 2
-        assert "nesting deeper" in capsys.readouterr().err
+        assert "nested deeper" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "identity",
@@ -201,6 +201,37 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert len(err) < 200
         assert f"({len(coeff)} characters)" in err
+
+    def test_unexpected_token_error_quotes_an_excerpt(self, capsys):
+        identity = "x1 x2 " + "9" * 4000
+        assert main(["check", "--example", "example1", "--identity", identity]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err) < 200
+        assert "(4000 characters)" in err
+        assert err.endswith(f"at position {len(identity)}")
+
+    @pytest.mark.parametrize(
+        "where, text, message",
+        [
+            ("identity", "x1 @ x2", "unexpected character '@' at position 2"),
+            ("coeff", "n $ 1", "unexpected character '$' in expression 'n $ 1'"),
+            ("coeff", "n/(n - n)", "division by zero"),
+        ],
+        ids=["identity-character", "rule-character", "rule-division-by-zero"],
+    )
+    def test_malformed_expression(self, capsys, tmp_path, where, text, message):
+        from cocheck import dumps_spec
+
+        if where == "identity":
+            argv = ["--example", "example1", "--identity", text]
+        else:
+            data = json.loads(dumps_spec(builtin("example1")))
+            data["delta"][1]["terms"][0]["coeff"] = text
+            path = tmp_path / "malformed.json"
+            path.write_text(json.dumps(data))
+            argv = ["--spec", str(path), "--checks", "coassoc"]
+        assert main(["check", *argv]) == 2
+        assert message in capsys.readouterr().err
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -282,6 +313,38 @@ class TestHostileInput:
         code = main(["closure", *argv])
         assert code == 2
         assert f"{flag} is a closure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["grassmann", "--example", "example7", "--identity", "(x1x2)"], "--identity"),
+        (["grassmann", "--example", "example7", "--bound", "3"], "--bound"),
+        (["product", "--example", "example1", "--left", "f:1", "--right", "e:0",
+          "--bound", "99"], "--bound"),
+        (["product", "--example", "example1", "--left", "f:1", "--right", "e:0",
+          "--seed", "0"], "--seed"),
+        (["identity", "--example", "example1", "--identity", "x1 x2",
+          "--left", "f:1"], "--left"),
+        (["identity", "--example", "example1", "--identity", "x1 x2",
+          "--samples", "0"], "--samples"),
+        (["identity", "--example", "example1", "--identity", "x1 x2",
+          "--generators", "40"], "--generators"),
+    ])
+    def test_dual_refuses_the_other_modes_flags(self, capsys, argv, flag):
+        # A flag of another dual mode would be silently ignored.
+        code = main(["dual", *argv])
+        assert code == 2
+        assert f"{flag} is a dual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("construction", ["gelfand-dorfman", "antisymmetrize",
+                                              "kantor"])
+    def test_construct_refuses_horizon_outside_graded_dual(
+        self, capsys, tmp_path, construction
+    ):
+        out = tmp_path / "out.json"
+        code = main(["construct", construction, "--example", "example1",
+                     "-o", str(out), "--horizon", "3"])
+        assert code == 2
+        assert "--horizon is a construct graded-dual flag" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckCommand:
