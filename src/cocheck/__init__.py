@@ -73,7 +73,6 @@ from .linalg import (
     FormalTensor,
     FormalVector,
     extract_components,
-    membership,
 )
 from .rules import AffineIndex, DeltaTerm, DerivTerm, Guard, IndexPoly
 from .specfile import dumps_spec, load_spec, loads_spec, save_spec
@@ -133,7 +132,6 @@ __all__ = [
     "load_spec",
     "loads_spec",
     "local_finiteness_probe",
-    "membership",
     "mul",
     "parse_identity",
     "poly",

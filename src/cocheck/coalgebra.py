@@ -324,23 +324,17 @@ def scan(name, checked, subjects, residual, render=str) -> CheckReport:
 
 
 def coderivation_check(spec: CoalgebraSpec, max_index: int) -> CheckReport:
-    """Verify delta(d(b)) = (d (x) id + id (x) d) delta(b) on a range."""
+    """Verify delta(d(b)) = (d (x) id + id (x) d) delta(b) on a range, as
+    the coidentity plan `identities.CODERIVATION`."""
+    from .identities import CODERIVATION  # identities imports this module
+
     if not spec.differential:
         raise SpecError(f"spec {spec.name!r} has no coderivation")
-
-    def residual(label):
-        lhs = delta_linear(spec, d_label(spec, label))
-        rhs: dict = {}
-        for (l, r), c in delta(spec, label).items():
-            accumulate(rhs, (((m, r), c * cm) for m, cm in d_label(spec, l).items()))
-            accumulate(rhs, (((l, m), c * cm) for m, cm in d_label(spec, r).items()))
-        return lhs - FormalTensor._merged(2, rhs)
-
     return scan(
         "coderivation",
         spec.checked_ranges(max_index),
         spec.labels_upto(max_index),
-        residual,
+        lambda label: CODERIVATION.apply(spec, label),
     )
 
 

@@ -345,9 +345,19 @@ def bruteforce_identity(
     The tuples run through `DualEvaluator.nonzero_residuals`.  The
     residual of each tuple it yields is rebuilt as a `FormalVector` by
     `DualEvaluator.polynomial` for the witness, and the two evaluations
-    must agree."""
+    must agree.
+
+    The nest evaluates p ungraded, so a signature that would change the
+    identity is refused: one with an odd slot, or any signature on a spec
+    with an odd family (its graded reordering carries Koszul signs)."""
     if not p.is_multilinear():
         raise SpecError(f"identity is not multilinear: {p}")
+    sig = p.signature
+    if sig is not None and (1 in sig or any(f.parity for f in spec.families)):
+        raise SpecError(
+            f"the dual oracle evaluates identities ungraded; it cannot "
+            f"honour the signature of {p} on {spec.name!r}"
+        )
     arity = p.arity
     depth = max(v.deriv for _, m in p.terms for v in m.leaves()) + 1
     window = arity * (max_index + depth * spec.shift_bound) + spec.shift_bound

@@ -16,7 +16,8 @@ their trailing permutation and projection with summed coefficients.
 `apply` walks the trie depth first, so a prefix shared by many branches
 is computed once per label.  Inside the walk integral coefficients are
 plain `int`s, read from an integer view of the spec's rule caches; the
-result is all `Fraction` again.
+result is all `Fraction` again.  The coderivation law is one more such
+map, `CODERIVATION`.
 
 Sign convention: the pairing of functionals against tensors carries no
 sign, and Koszul signs enter only through the graded permutation back
@@ -449,6 +450,18 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
             steps.append(("project", sig))
         branches.append((coeff * sign, tuple(steps)))
     return CoidentityMap(arity=p.arity, branches=tuple(branches))
+
+
+# The coderivation law delta . d = (d (x) id + id (x) d) . delta, as the
+# plan `coalgebra.coderivation_check` runs.
+CODERIVATION = CoidentityMap(
+    arity=2,
+    branches=(
+        (1, (("d", 1, None), ("delta", 1, None, None))),
+        (-1, (("delta", 1, None, None), ("d", 1, None))),
+        (-1, (("delta", 1, None, None), ("d", 2, None))),
+    ),
+)
 
 
 def check_identity(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ArityError
 
@@ -390,40 +390,6 @@ def extract_components(t: FormalTensor, side: str = "left"):
         unit = FormalVector.unit(key)
         pairs.append((unit, grouped) if side == "left" else (grouped, unit))
     return pairs
-
-
-def membership(v: FormalVector, basis: Sequence[FormalVector]):
-    """Exact coordinates of v in the span of `basis`, or None.
-
-    The basis vectors must be linearly independent; coordinates are
-    returned in basis order.
-    """
-    rows = []  # (reduced vector, coordinate row)
-    for j, b in enumerate(basis):
-        coords = [Fraction(0)] * len(basis)
-        coords[j] = Fraction(1)
-        b, coords = _reduce_tracked(b, coords, rows)
-        if not b:
-            raise ValueError("membership basis is linearly dependent")
-        lead = b.leading()
-        inv = 1 / b.coefficient(lead)
-        rows.append((b.scale(inv), [c * inv for c in coords]))
-        rows.sort(key=lambda row: row[0].leading())
-    target = [Fraction(0)] * len(basis)
-    v, target = _reduce_tracked(v, target, rows)
-    if v:
-        return None
-    return [-c for c in target]
-
-
-def _reduce_tracked(v, coords, rows):
-    """Reduce v against pivot rows, tracking v + sum(c_j * row_j)."""
-    for row, row_coords in rows:
-        c = v.coefficient(row.leading())
-        if c:
-            v = v - row.scale(c)
-            coords = [a - c * b for a, b in zip(coords, row_coords)]
-    return v, coords
 
 
 class EchelonSubspace:

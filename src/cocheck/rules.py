@@ -281,6 +281,8 @@ class _ExprParser(Descent):
 
     def parse_atom(self) -> IndexPoly:
         tok = self.take()
+        if tok is None:
+            self.fail("unexpected end of input")
         if tok == "(":
             inner = self.nested(self.parse_expr)
             if self.take() != ")":
@@ -292,7 +294,7 @@ class _ExprParser(Descent):
             return IndexPoly.var_n()
         if tok == "i":
             return IndexPoly.var_i()
-        if tok is not None and tok.isdigit():
+        if tok.isdigit():
             return IndexPoly.const(int(tok))
         self.fail(f"unexpected token {quote(tok)}")
 

@@ -18,10 +18,9 @@ MAX_DIGITS = 4300
 MAX_QUOTE = 60
 
 
-def quote(text) -> str:
-    """repr(text) cut to MAX_QUOTE characters; a token past the end of
-    input is None and quotes as None."""
-    if text is None or len(text) <= MAX_QUOTE:
+def quote(text: str) -> str:
+    """repr(text) cut to MAX_QUOTE characters."""
+    if len(text) <= MAX_QUOTE:
         return repr(text)
     return f"{text[:MAX_QUOTE]!r}... ({len(text)} characters)"
 

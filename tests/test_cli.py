@@ -216,8 +216,11 @@ class TestHostileInput:
             ("identity", "x1 @ x2", "unexpected character '@' at position 2"),
             ("coeff", "n $ 1", "unexpected character '$' in expression 'n $ 1'"),
             ("coeff", "n/(n - n)", "division by zero"),
+            ("coeff", "", "unexpected end of input in expression ''"),
+            ("coeff", "n+", "unexpected end of input in expression 'n+'"),
         ],
-        ids=["identity-character", "rule-character", "rule-division-by-zero"],
+        ids=["identity-character", "rule-character", "rule-division-by-zero",
+             "rule-empty", "rule-truncated"],
     )
     def test_malformed_expression(self, capsys, tmp_path, where, text, message):
         from cocheck import dumps_spec
@@ -509,6 +512,21 @@ class TestConstructCommand:
         ex4 = builtin("example4")
         for n in range(16):
             assert delta(spec, spec.label("x", n)) == delta(ex4, ex4.label("x", n))
+
+
+    def test_graded_dual_coderivation_stops_at_its_window(self, capsys, tmp_path):
+        # A graded dual built at horizon 12 defines its coderivation up to
+        # index 11 only; checking index 12 is a usage error, not a pass.
+        out = tmp_path / "gd12.json"
+        code, _ = run(
+            capsys, "construct", "graded-dual", "--example", "fx-diff-algebra",
+            "-o", str(out), "--horizon", "12",
+        )
+        assert code == 0
+        argv = ["check", "--spec", str(out), "--checks", "coderivation"]
+        assert main([*argv, "--max-index", "12"]) == 2
+        assert "only defined up to index 11" in capsys.readouterr().err
+        assert main([*argv, "--max-index", "11"]) == 0
 
 
 class TestDualCommand:

@@ -11,14 +11,17 @@ from cocheck import (
     FormalVector,
     RangeError,
     SpecError,
+    antisymmetrize,
     apply_d,
     builtin,
     cocommutativity_check,
     coderivation_check,
     delta,
     delta_linear,
+    graded_dual,
     validate_shift_bound,
 )
+from cocheck.coalgebra import scan
 from cocheck.rules import deriv_term
 from conftest import vec
 
@@ -246,6 +249,56 @@ class TestCoderivation:
         assert report.witnesses[0].subject == "e:0"
         # delta(d(e)) - (d(x)id + id(x)d) delta(e) = e(x)e - 2 e(x)e
         assert report.witnesses[0].residual == "-e:0⊗e:0"
+
+
+def reference_coderivation_check(spec, max_index):
+    """The coderivation law as a hand-written residual in FormalTensor
+    arithmetic, independent of the coidentity plan that
+    `coderivation_check` runs: delta(d(b)) - (d (x) id + id (x) d) delta(b)."""
+
+    def residual(label):
+        rhs = []
+        for (l, r), c in delta(spec, label).items():
+            rhs += [((m, r), c * cm) for m, cm in apply_d(spec, l).items()]
+            rhs += [((l, m), c * cm) for m, cm in apply_d(spec, r).items()]
+        return delta_linear(spec, apply_d(spec, label)) - FormalTensor(2, rhs)
+
+    return scan(
+        "coderivation",
+        spec.checked_ranges(max_index),
+        spec.labels_upto(max_index),
+        residual,
+    )
+
+
+class TestCoderivationPlan:
+    def test_reports_match_the_hand_written_residual(self):
+        # 8 specs at 5 windows: the two builtin differential coalgebras,
+        # their antisymmetrizations, a graded dual with a bounded
+        # coderivation window and three broken coderivations, one with
+        # non-integral residuals.
+        ex1, ex4 = builtin("example1"), builtin("example4")
+        specs = [
+            ex1, ex4, antisymmetrize(ex1), antisymmetrize(ex4),
+            graded_dual(builtin("fx-diff-algebra", horizon=48), horizon=48),
+            dataclasses.replace(ex1, name="example1-d-e", coderivation={
+                "e": [deriv_term(1, ("e", 0))], "f": [deriv_term(1, ("f", "n + 1"))]}),
+            dataclasses.replace(ex4, name="example4-d-unit", coderivation={
+                "x": [deriv_term(1, ("x", "n + 1"))]}),
+            dataclasses.replace(ex4, name="example4-d-third", coderivation={
+                "x": [deriv_term("(n + 2)/3", ("x", "n + 1"))]}),
+        ]
+        failing = 0
+        for spec in specs:
+            for window in (0, 1, 5, 17, 40):
+                report = coderivation_check(spec, window)
+                assert str(report) == str(reference_coderivation_check(spec, window))
+                failing += not report.passed
+        # example1-d-e fails from window 0, the example4 ones from 1.
+        assert failing == 13
+        residuals = [w.residual for spec in specs[5:]
+                     for w in coderivation_check(spec, 5).witnesses]
+        assert any("/3" in r for r in residuals)
 
 
 class TestCocommutativity:

@@ -427,6 +427,24 @@ class TestOracleEquivalence:
             assert coident == oracle, f"{name}: {ident_name}"
 
 
+    def test_refuses_a_signature_it_would_ignore(self, ex1, cat):
+        # The nest evaluates identities ungraded.  On example7 the graded
+        # supercommutativity passes check_identity, while the plain
+        # x1 x2 - x2 x1 that the oracle would evaluate fails.
+        ex7 = builtin("example7")
+        graded = cat["supercommutativity"].with_signature("oo")
+        assert check_identity(ex7, graded, 4).passed
+        for spec, p in ((ex7, graded), (ex7, cat["supercommutativity"]),
+                        (ex1, graded)):
+            with pytest.raises(SpecError, match="cannot honour the signature"):
+                bruteforce_identity(spec, p, 4)
+        # A signature with no odd slot, on a spec with no odd family,
+        # leaves the identity as it is.
+        for sig in ((None, None), "ee", "*e"):
+            p = cat["supercommutativity"].with_signature(sig)
+            assert bruteforce_identity(ex1, p, 4).passed
+
+
 class TestGrassmannEnvelope:
     def test_example7_passes(self):
         report = grassmann_envelope_check(builtin("example7"), 3, 50, seed=7)
