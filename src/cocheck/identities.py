@@ -19,6 +19,20 @@ plain `int`s, read from an integer view of the spec's rule caches; the
 result is all `Fraction` again.  The coderivation law is one more such
 map, `CODERIVATION`.
 
+Orbit sums: the linearized identities (Jordan, Moufang, right
+alternativity) are unchanged by swaps of the slots of a linearized
+variable, so their coidentities are unchanged by the same swaps of
+tensor factors.  `slot_classes` finds these classes of slots on the
+monomial keys of the identity; they generate a Young subgroup G of the
+factor permutations.  A slot of a graded identity joins a class only if
+its signature entry is `e`: the surviving factors there are even, so no
+Koszul sign can tell the swapped terms apart.  The plan keeps one tail
+group per G-coset, and its walk accumulates orbit sums S, one per orbit
+of G on keys.  The full result is total[k] = |Stab(k)| * S[O(k)], so a
+label passes exactly when S is empty, and only a failing label pays for
+expanding S back to the full tensor.  With singleton classes G is
+trivial and the walk is the plain one.
+
 Sign convention: the pairing of functionals against tensors carries no
 sign, and Koszul signs enter only through the graded permutation back
 to slot order (`linalg.koszul_sign`).  The `koszul_pairing` switch
@@ -29,8 +43,11 @@ be compared on concrete examples.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, prod
+from operator import itemgetter
 from typing import Optional, Union
 
 from .coalgebra import (
@@ -42,7 +59,7 @@ from .coalgebra import (
 )
 from .errors import SpecError
 from .linalg import (
-    FormalTensor, FormalVector, accumulate, format_terms, integral, inversions,
+    _PARITY, FormalTensor, FormalVector, accumulate, format_terms, integral, inversions,
     koszul_sign, permute_terms, scalar,
 )
 
@@ -269,42 +286,164 @@ class CoidentityMap:
     once, a trie of the branches' step prefixes.  Each trie node holds
     its tail groups: the branches that end there, grouped by their
     trailing permute and project steps, with their coefficients summed.
-    A depth-first walk computes every shared prefix once per label,
-    permutes it once per tail group, and projects each group's sum once
-    at the end.
+    A depth-first walk computes every shared prefix once per label and
+    runs each tail group as one loop over its terms.
+
+    `classes` are the slot classes (sorted tuples of slots 1..arity,
+    ordered by their first slot; empty means singletons): permuting the
+    factors of a class leaves the map unchanged.  `translate` finds them
+    with `slot_classes`.  They give a Young subgroup G.  The tail groups
+    of a node whose permutations differ by an element of G hold one
+    coefficient, so the plan keeps the first group of each such coset,
+    and classes the branches do not respect are refused.  A tail group
+    maps each term to a canonical key, the factors laid out class by
+    class with each class's labels sorted, and sums into S, one sum per
+    orbit of G on keys.  The full result is total[k] = |Stab(k)| *
+    S[O(k)]: `apply` returns the zero tensor when S is empty and expands
+    S otherwise, into the same keys and `Fraction`s.  Under a graded
+    permutation a class may hold only slots the projection keeps even,
+    where every Koszul sign of a surviving term is 1.  With singleton
+    classes each tail group is its own coset and each key its own orbit.
     """
 
     arity: int
     branches: tuple  # ((coeff, (step, ...)), ...)
+    classes: tuple = ()
     plan: tuple = field(init=False, repr=False, compare=False)
+    # permute step (None for the identity) -> (take, source pairs, signs)
+    _tails: dict = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
+    _segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        identity = tuple(range(self.arity))
+        classes = self.classes or tuple((s,) for s in range(1, self.arity + 1))
+        classes = tuple(sorted(tuple(sorted(cls)) for cls in classes))
+        if sorted(s for cls in classes for s in cls) != [s + 1 for s in identity]:
+            raise SpecError(f"slot classes {classes} do not partition slots 1..{self.arity}")
+        layout = tuple(s - 1 for cls in classes for s in cls)
+        segments, lo = [], 0
+        for cls in classes:
+            if len(cls) > 1:
+                segments.append((lo, lo + len(cls)))
+            lo += len(cls)
+        big = [cls for cls in classes if len(cls) > 1]
+        order = prod(factorial(len(cls)) for cls in big)
+        compiled: dict = {}
+
+        def freeze(node) -> tuple:
+            """A trie node as (((step, child), ...), ((permute, project, coeff), ...)),
+            with the first tail group of each coset of the slot classes."""
+            children, tails = node
+            cosets: dict = {}
+            for (permute, project), c in tails.items():
+                perm = permute[1] if permute else identity
+                # The factors the group takes, laid out class by class.
+                take = tuple(map(perm.__getitem__, layout))
+                cosets.setdefault((project, _canonical(take, segments)), []).append(
+                    (take, permute, project, integral(c)))
+            reps = []
+            for group in cosets.values():
+                take, permute, project, c = group[0]
+                if len(group) != order or any(g[3] != c for g in group):
+                    raise SpecError(f"branches are not symmetric under slot classes {classes}")
+                if permute not in compiled:
+                    pairs = [(permute[1][a], permute[1][b]) for a, b in permute[2]] if permute else ()
+                    compiled[permute] = (
+                        None if take == identity else itemgetter(*take), tuple(pairs), {})
+                reps.append((permute, project, c))
+            return (
+                tuple((step, freeze(child)) for step, child in children.items()),
+                tuple(reps),
+            )
+
         root: tuple = ({}, {})
+        graded, projects = False, set()
         for coeff, steps in self.branches:
             steps = list(steps)
             project = steps.pop() if steps and steps[-1][0] == "project" else None
             permute = steps.pop() if steps and steps[-1][0] == "permute" else None
+            graded = graded or bool(permute and permute[2])
+            projects.add(project)
             node = root
             for step in steps:
                 node = node[0].setdefault(step, ({}, {}))
             accumulate(node[1], [((permute, project), coeff)])
-        object.__setattr__(self, "plan", _freeze(root))
+        # A class must look alike to every projection, and even to a
+        # graded one: only there are all Koszul signs inside it 1.
+        for cls in big:
+            for project in projects:
+                parities = {project[1][s - 1] if project else None for s in cls}
+                if len(parities) > 1 or (graded and parities != {0}):
+                    raise SpecError(f"slot class {cls} is not projected evenly")
+        for name, value in (("classes", classes), ("plan", freeze(root)), ("_tails", compiled),
+                            ("_layout", layout), ("_segments", tuple(segments))):
+            object.__setattr__(self, name, value)
 
     def apply(self, spec: CoalgebraSpec, v) -> FormalTensor:
         if not isinstance(v, FormalVector):
             v = FormalVector.unit(v)
-        totals: dict = {}  # project step -> merged sum of its tail groups
+        sums: dict = {}  # project step -> orbit sums of its tail groups
         start = {(label,): integral(c) for label, c in v.items()}
-        _walk(spec, self.plan, start, spec.parity_additive, totals)
+        self._walk(spec, self.plan, start, spec.parity_additive, sums)
         out: dict = {}
-        for project, total in totals.items():
+        for project, s in sums.items():
             if project is not None:
-                total = _apply_step(spec, total, project, False)
-            accumulate(out, (
-                (key, c if type(c) is Fraction else Fraction(c))
-                for key, c in total.items()
-            ))
+                laid_out = tuple(project[1][j] for j in self._layout)
+                s = _apply_step(spec, s, ("project", laid_out), False)
+            if s:
+                accumulate(out, self._expand(s))
         return FormalTensor._merged(self.arity, out)
+
+    def _walk(self, spec, node, t: dict, prune: bool, sums: dict) -> None:
+        children, tails = node
+        segments = self._segments
+        for permute, project, coeff in tails:
+            take, pairs, signs = self._tails[permute]
+            acc = sums.setdefault(project, {})
+            get = acc.get
+            for key, c in t.items():
+                c *= coeff
+                if pairs:
+                    # The Koszul sign depends only on the factor parities.
+                    pattern = tuple(map(_PARITY, key))
+                    sign = signs.get(pattern)
+                    if sign is None:
+                        sign = signs[pattern] = koszul_sign(pattern, pairs)
+                    if sign < 0:
+                        c = -c
+                if take is not None:
+                    key = take(key)
+                if segments:
+                    key = _canonical(key, segments)
+                # `accumulate`, inlined in the hottest loop of the engine.
+                prev = get(key)
+                if prev is not None:
+                    c += prev
+                if c:
+                    acc[key] = c
+                elif prev is not None:
+                    del acc[key]
+        for step, child in children:
+            u = _apply_step(spec, t, step, prune)
+            if u:
+                self._walk(spec, child, u, prune, sums)
+
+    def _expand(self, sums: dict):
+        """The (key, coefficient) pairs of the full result: every key k of
+        an orbit O, in slot order, with |Stab(k)| * S[O] as a `Fraction`."""
+        back = None
+        if self._layout != tuple(range(self.arity)):
+            back = itemgetter(*sorted(range(self.arity), key=self._layout.__getitem__))
+        for key, c in sums.items():
+            keys, stab = [key], 1
+            for lo, hi in self._segments:
+                block = key[lo:hi]
+                stab *= prod(map(factorial, Counter(block).values()))
+                keys = [k[:lo] + b + k[hi:] for k in keys for b in _arrangements(block)]
+            c = Fraction(c * stab)
+            for k in keys:
+                yield (k if back is None else back(k)), c
 
     def describe(self) -> str:
         return format_terms(
@@ -316,26 +455,29 @@ class CoidentityMap:
         return self.describe()
 
 
-def _freeze(node) -> tuple:
-    """A trie node as (((step, child), ...), ((permute, project, coeff), ...))."""
-    children, tails = node
-    return (
-        tuple((step, _freeze(child)) for step, child in children.items()),
-        tuple((perm, proj, integral(c)) for (perm, proj), c in tails.items()),
-    )
+def _canonical(key: tuple, segments) -> tuple:
+    """A key laid out class by class with each class segment sorted: one
+    key per orbit of the slot classes' group."""
+    for lo, hi in segments:
+        key = key[:lo] + tuple(sorted(key[lo:hi])) + key[hi:]
+    return key
 
 
-def _walk(spec, node, t: dict, prune: bool, totals: dict) -> None:
-    children, tails = node
-    for permute, project, coeff in tails:
-        items = t.items()
-        if permute is not None:
-            items = permute_terms(items, permute[1], permute[2])
-        accumulate(totals.setdefault(project, {}), ((key, coeff * c) for key, c in items))
-    for step, child in children:
-        u = _apply_step(spec, t, step, prune)
-        if u:
-            _walk(spec, child, u, prune, totals)
+def _arrangements(block: tuple):
+    """The distinct orderings of a sorted tuple, in lexicographic order."""
+    a = list(block)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
@@ -422,6 +564,45 @@ def _build_steps(mono: Monomial, pos: int, sig) -> list:
     return steps
 
 
+def slot_classes(p: NAPoly) -> tuple:
+    """The slot classes of a multilinear identity: slots a and b share a
+    class when swapping them leaves p unchanged, which is an equivalence
+    relation.  A slot of a graded identity joins a class only if its
+    signature entry is 0 (`e`).  Sorted tuples, ordered by first slot.
+
+    Each monomial is held as its slot-free shape and its slots in leaf
+    order, so a swap is one `map` over the slots, with no new NAPoly."""
+    terms = {}
+    for c, mono in p.terms:
+        slots: list = []
+        terms[_shape(mono, slots), tuple(slots)] = c
+    sig = p.signature
+    classes: list = []
+    for b in range(1, p.arity + 1):
+        free = sig is None or sig[b - 1] == 0
+        for cls in classes:
+            swap = list(range(p.arity + 1))
+            swap[cls[0]], swap[b] = b, cls[0]
+            if free and (sig is None or sig[cls[0] - 1] == 0) and all(
+                terms.get((shape, tuple(map(swap.__getitem__, slots)))) == c
+                for (shape, slots), c in terms.items()
+            ):
+                cls.append(b)
+                break
+        else:
+            classes.append([b])
+    return tuple(map(tuple, classes))
+
+
+def _shape(mono: Monomial, slots: list):
+    """The tree of a monomial with its derivative orders at the leaves;
+    its slots are appended to `slots` in leaf order."""
+    if isinstance(mono, Leaf):
+        slots.append(mono.var.slot)
+        return mono.var.deriv
+    return (_shape(mono.left, slots), _shape(mono.right, slots))
+
+
 def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
     """Build the coidentity operator of a multilinear identity.
 
@@ -429,6 +610,7 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
     graded, with primes realized as the transposed coderivation) and any
     element c, pairing a_1 (x) ... (x) a_k against the returned map at c
     equals the identity evaluated on the a_i at c in the dual algebra.
+    The map's slot classes are `slot_classes(p)`.
     """
     if not p.is_multilinear():
         raise SpecError(
@@ -449,7 +631,7 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
         if sig is not None and any(s is not None for s in sig):
             steps.append(("project", sig))
         branches.append((coeff * sign, tuple(steps)))
-    return CoidentityMap(arity=p.arity, branches=tuple(branches))
+    return CoidentityMap(arity=p.arity, branches=tuple(branches), classes=slot_classes(p))
 
 
 # The coderivation law delta . d = (d (x) id + id (x) d) . delta, as the

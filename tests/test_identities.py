@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocheck import (
     BasisLabel,
@@ -22,7 +24,11 @@ from cocheck import (
 from cocheck.catalog import list_examples
 from cocheck.coalgebra import d_label
 from cocheck.dual import coordinate_functional
-from cocheck.identities import _apply_step, requires_coderivation, substitute_slots
+from cocheck.identities import (
+    CODERIVATION, Leaf, NAPoly, Node, _apply_step, _arrangements, requires_coderivation,
+    slot_classes, substitute_slots,
+)
+from test_syntax import coeff_st, monomial_st
 
 # Graded variants of the catalog checked beside the plain identities.
 SIGNATURES = {
@@ -157,17 +163,21 @@ class TestCompiledPlan:
 
     def test_shared_prefixes_are_walked_once(self, cat):
         # Jordan's 12 branches: 36 delta steps on 4 distinct prefixes,
-        # delta@1 twice and then delta@1 or delta@3, each leaf holding
-        # the six permutations of its branches.
-        node = translate(cat["jordan-linearized"]).plan
-        for _ in range(2):
+        # delta@1 twice and then delta@1 or delta@3.  The six branches of
+        # a leaf differ by a permutation of the slot class (1, 2, 3), so
+        # each leaf keeps one tail group; with `*` slots, which join no
+        # class, it keeps six.
+        for sig, groups in ((None, 1), ("****", 6)):
+            p = cat["jordan-linearized"]
+            node = translate(p if sig is None else p.with_signature(sig)).plan
+            for _ in range(2):
+                children, tails = node
+                assert not tails and [step for step, _ in children] == [("delta", 1, None, None)]
+                node = children[0][1]
             children, tails = node
-            assert not tails and [step for step, _ in children] == [("delta", 1, None, None)]
-            node = children[0][1]
-        children, tails = node
-        assert not tails
-        assert sorted(step[1] for step, _ in children) == [1, 3]
-        assert [(len(leaf[0]), len(leaf[1])) for _, leaf in children] == [(0, 6), (0, 6)]
+            assert not tails
+            assert sorted(step[1] for step, _ in children) == [1, 3]
+            assert [(len(leaf[0]), len(leaf[1])) for _, leaf in children] == [(0, groups)] * 2
 
     def test_branches_with_one_tail_merge(self):
         ex1 = builtin("example1")
@@ -179,6 +189,127 @@ class TestCompiledPlan:
         for label in ex1.labels_upto(6):
             assert not cancelling.apply(ex1, label)
             assert doubled.apply(ex1, label) == naive_apply(doubled, ex1, label)
+
+
+class TestSlotClasses:
+    @pytest.mark.parametrize("name, sig, classes", [
+        ("jordan-linearized", None, ((1, 2, 3), (4,))),
+        ("jordan-linearized", "eeee", ((1, 2, 3), (4,))),
+        ("jordan-linearized", "oooo", ((1,), (2,), (3,), (4,))),
+        ("jordan-linearized", "*eee", ((1,), (2, 3), (4,))),
+        ("jordan-linearized", "eoeo", ((1, 3), (2,), (4,))),
+        ("jordan-linearized", "eeeo", ((1, 2, 3), (4,))),
+        ("moufang-linearized", None, ((1,), (2, 3), (4,))),
+        ("moufang-linearized", "oeeo", ((1,), (2, 3), (4,))),
+        ("moufang-linearized", "eooe", ((1,), (2,), (3,), (4,))),
+        ("right-alternativity-linearized", None, ((1,), (2, 3))),
+        ("anticommutativity", None, ((1, 2),)),
+        ("anticommutativity", "*e", ((1,), (2,))),
+        ("commutativity", None, ((1,), (2,))),
+        ("jacobi", None, ((1,), (2,), (3,))),
+        ("[[x,y],[z,t]]", None, ((1,), (2,), (3,), (4,))),
+        ("x'y'", None, ((1,), (2,))),
+    ])
+    def test_detected_classes(self, cat, name, sig, classes):
+        p = cat[name] if sig is None else cat[name].with_signature(sig)
+        assert slot_classes(p) == classes
+        for koszul_pairing in (False, True):
+            assert translate(p, koszul_pairing=koszul_pairing).classes == classes
+
+    def test_every_term_must_be_symmetric(self):
+        # Swapping x1 and x2 maps the first two terms onto each other but
+        # not the third, so no class forms.
+        p = parse_identity("((x1 x2) x3) + ((x2 x1) x3) + ((x1 x3) x2)")
+        assert slot_classes(p) == translate(p).classes == ((1,), (2,), (3,))
+
+    def test_hand_built_maps_have_singleton_classes(self):
+        assert CODERIVATION.classes == ((1,), (2,))
+        split = ("delta", 1, None, None), ("permute", (1, 0), ())
+        assert CoidentityMap(2, ((1, split),)).classes == ((1,), (2,))
+
+    def test_asymmetric_branches_are_refused(self):
+        split = ("delta", 1, None, None), ("permute", (1, 0), ())
+        with pytest.raises(SpecError, match="not symmetric"):
+            CoidentityMap(2, ((1, split),), classes=((1, 2),))
+        with pytest.raises(SpecError, match="not symmetric"):
+            CoidentityMap(2, ((1, split), (-1, split[:1])), classes=((1, 2),))
+        symmetric = CoidentityMap(2, ((1, split), (1, split[:1])), classes=((1, 2),))
+        assert symmetric.plan == (((split[0], ((), ((split[1], None, 1),))),), ())
+        ex1 = builtin("example1")
+        for label in ex1.labels_upto(6):
+            assert symmetric.apply(ex1, label) == naive_apply(symmetric, ex1, label)
+        with pytest.raises(SpecError, match="partition"):
+            CoidentityMap(2, ((1, split),), classes=((1,),))
+        graded = ("delta", 1, None, None), ("permute", (1, 0), ((0, 1),))
+        with pytest.raises(SpecError, match="projected evenly"):
+            CoidentityMap(2, ((1, graded), (1, split[:1])), classes=((1, 2),))
+
+    def test_orbit_sums_expand_with_stabilizer_weights(self, cat):
+        # (x1 x2) + (x2 x1) on example1 fails at e:0, whose delta is
+        # e:0 (x) e:0, a key fixed by the swap: the residual is 2 there.
+        cmap = translate(cat["anticommutativity"])
+        e0 = BasisLabel("e", 0)
+        assert cmap.apply(builtin("example1"), e0) == FormalTensor(2, {(e0, e0): 2})
+        a, b = BasisLabel("f", 1), BasisLabel("f", 2)
+        assert list(_arrangements((a, a, b))) == [(a, a, b), (a, b, a), (b, a, a)]
+
+    def test_a_class_apart_in_slot_order(self):
+        # Slots 1 and 3 form a class, so orbit sums are laid out as
+        # slots 1, 3, 2 and expanded back to slot order.
+        cmap = translate(parse_identity("((x1 x2) x3) + ((x3 x2) x1)"))
+        assert cmap.classes == ((1, 3), (2,))
+        ex5 = builtin("example5")
+        failing = [label for label in ex5.labels_upto(4) if cmap.apply(ex5, label)]
+        assert failing
+        for label in failing:
+            assert cmap.apply(ex5, label) == naive_apply(cmap, ex5, label)
+
+
+def _multilinear(mono, slots, keep_derivs):
+    """The tree of mono with its leaves, in order, on the next of `slots`."""
+    if isinstance(mono, Leaf):
+        return var(next(slots), mono.var.deriv if keep_derivs else 0)
+    return Node(_multilinear(mono.left, slots, keep_derivs),
+                _multilinear(mono.right, slots, keep_derivs))
+
+
+@st.composite
+def symmetrized_st(draw):
+    """A random multilinear identity summed over a random Young subgroup
+    of its slots, so that translate finds nontrivial slot classes."""
+    first = draw(monomial_st.filter(lambda m: len(m.leaves()) >= 2))
+    k = len(first.leaves())
+    keep_derivs = draw(st.booleans())
+    shapes = [first] + draw(st.lists(
+        monomial_st.filter(lambda m: len(m.leaves()) == k), max_size=2))
+    terms = [
+        (draw(coeff_st), _multilinear(shape, iter(draw(st.permutations(range(1, k + 1)))),
+                                      keep_derivs))
+        for shape in shapes
+    ]
+    blocks = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    classes = [[s for s in range(1, k + 1) if blocks[s - 1] == b] for b in set(blocks)]
+    p = NAPoly([], arity=k)
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        mapping = {s: t for c, image in zip(classes, images) for s, t in zip(c, image)}
+        p = p + substitute_slots(NAPoly(terms), mapping)
+    return p.with_signature("e" * k) if draw(st.booleans()) else p, classes
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetrized_st(), st.booleans())
+def test_orbit_sums_match_every_branch(case, koszul_pairing):
+    p, classes = case
+    cmap = translate(p, koszul_pairing=koszul_pairing)
+    found = {s: set(cls) for cls in cmap.classes for s in cls}
+    assert all(found[c[0]] >= set(c) for c in classes)
+    for name in ("example1", "example5", "example8"):
+        spec = builtin(name)
+        if requires_coderivation(p) and not spec.differential:
+            continue
+        for label in spec.labels_upto(3):
+            assert cmap.apply(spec, label) == naive_apply(cmap, spec, label), (
+                name, str(p), p.signature, koszul_pairing, label)
 
 
 class TestLabelType:
