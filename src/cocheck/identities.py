@@ -22,16 +22,17 @@ map, `CODERIVATION`.
 Orbit sums: the linearized identities (Jordan, Moufang, right
 alternativity) are unchanged by swaps of the slots of a linearized
 variable, so their coidentities are unchanged by the same swaps of
-tensor factors.  `slot_classes` finds these classes of slots on the
-monomial keys of the identity; they generate a Young subgroup G of the
-factor permutations.  A slot of a graded identity joins a class only if
-its signature entry is `e`: the surviving factors there are even, so no
-Koszul sign can tell the swapped terms apart.  The plan keeps one tail
-group per G-coset, and its walk accumulates orbit sums S, one per orbit
-of G on keys.  The full result is total[k] = |Stab(k)| * S[O(k)], so a
-label passes exactly when S is empty, and only a failing label pays for
-expanding S back to the full tensor.  With singleton classes G is
-trivial and the walk is the plain one.
+tensor factors.  Each map finds these classes of slots on its own
+compiled tail groups, with no new NAPoly; they generate a Young
+subgroup G of the factor permutations.  A slot of a graded identity
+joins a class only if its signature entry is `e`: the surviving factors
+there are even, so no Koszul sign can tell the swapped terms apart.
+The plan keeps one tail group per G-coset, and its walk accumulates
+orbit sums S, one per orbit of G on keys.  The full result is
+total[k] = |Stab(k)| * S[O(k)], so a label passes exactly when S is
+empty, and only a failing label pays for expanding S back to the full
+tensor.  With singleton classes G is trivial and the walk is the plain
+one.
 
 Sign convention: the pairing of functionals against tensors carries no
 sign, and Koszul signs enter only through the graded permutation back
@@ -46,6 +47,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial, prod
 from operator import itemgetter
 from typing import Optional, Union
@@ -59,8 +61,8 @@ from .coalgebra import (
 )
 from .errors import SpecError
 from .linalg import (
-    _PARITY, FormalTensor, FormalVector, accumulate, format_terms, integral, inversions,
-    koszul_sign, permute_terms, scalar,
+    FormalTensor, FormalVector, accumulate, format_terms, integral, inversions, koszul_sign,
+    permute_terms, scalar,
 )
 
 
@@ -289,95 +291,82 @@ class CoidentityMap:
     A depth-first walk computes every shared prefix once per label and
     runs each tail group as one loop over its terms.
 
-    `classes` are the slot classes (sorted tuples of slots 1..arity,
-    ordered by their first slot; empty means singletons): permuting the
-    factors of a class leaves the map unchanged.  `translate` finds them
-    with `slot_classes`.  They give a Young subgroup G.  The tail groups
-    of a node whose permutations differ by an element of G hold one
-    coefficient, so the plan keeps the first group of each such coset,
-    and classes the branches do not respect are refused.  A tail group
-    maps each term to a canonical key, the factors laid out class by
-    class with each class's labels sorted, and sums into S, one sum per
-    orbit of G on keys.  The full result is total[k] = |Stab(k)| *
-    S[O(k)]: `apply` returns the zero tensor when S is empty and expands
-    S otherwise, into the same keys and `Fraction`s.  Under a graded
-    permutation a class may hold only slots the projection keeps even,
-    where every Koszul sign of a surviving term is 1.  With singleton
-    classes each tail group is its own coset and each key its own orbit.
+    `classes` are the slot classes, computed from the plan (sorted tuples
+    of slots 1..arity, ordered by their first slot): slots a and b share
+    a class when swapping them sends each tail group's permutation to
+    one with entries a and b exchanged that the same node holds with the
+    same coefficient, and every projection treats a and b alike, keeping
+    both even when the permutations are graded (there every Koszul sign
+    of a surviving term inside a class is 1).  A swap that is a symmetry
+    of the tail groups is one of the map.  The classes give a Young
+    subgroup G, and the plan keeps one tail group per G-coset of a
+    node's tail groups.  A tail group maps each term to a canonical key,
+    the factors laid out class by class with each class's labels sorted,
+    and sums into S, one sum per orbit of G on keys.  The full result is
+    total[k] = |Stab(k)| * S[O(k)]: `apply` returns the zero tensor when
+    S is empty and expands S otherwise, into the same keys and
+    `Fraction`s.  With singleton classes each tail group is its own
+    coset and each key its own orbit.
     """
 
     arity: int
     branches: tuple  # ((coeff, (step, ...)), ...)
-    classes: tuple = ()
+    classes: tuple = field(init=False)
     plan: tuple = field(init=False, repr=False, compare=False)
-    # permute step (None for the identity) -> (take, source pairs, signs)
+    # permute step (None for the identity) -> (take, pairs, signs) for
+    # `permute_terms`, with take and pairs in the class-major layout
     _tails: dict = field(init=False, repr=False, compare=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
+    _canon: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         identity = tuple(range(self.arity))
-        classes = self.classes or tuple((s,) for s in range(1, self.arity + 1))
-        classes = tuple(sorted(tuple(sorted(cls)) for cls in classes))
-        if sorted(s for cls in classes for s in cls) != [s + 1 for s in identity]:
-            raise SpecError(f"slot classes {classes} do not partition slots 1..{self.arity}")
+        root: tuple = ({}, {})
+        for coeff, steps in self.branches:
+            steps = list(steps)
+            project = steps.pop() if steps and steps[-1][0] == "project" else None
+            permute = steps.pop() if steps and steps[-1][0] == "permute" else None
+            node = root
+            for step in steps:
+                node = node[0].setdefault(step, ({}, {}))
+            accumulate(node[1], [((permute, project), coeff)])
+        classes = _slot_classes(self.arity, list(_tail_dicts(root)))
         layout = tuple(s - 1 for cls in classes for s in cls)
+        where = {j: i for i, j in enumerate(layout)}
         segments, lo = [], 0
         for cls in classes:
             if len(cls) > 1:
                 segments.append((lo, lo + len(cls)))
             lo += len(cls)
-        big = [cls for cls in classes if len(cls) > 1]
-        order = prod(factorial(len(cls)) for cls in big)
         compiled: dict = {}
 
         def freeze(node) -> tuple:
             """A trie node as (((step, child), ...), ((permute, project, coeff), ...)),
             with the first tail group of each coset of the slot classes."""
             children, tails = node
-            cosets: dict = {}
+            reps: dict = {}
             for (permute, project), c in tails.items():
                 perm = permute[1] if permute else identity
                 # The factors the group takes, laid out class by class.
                 take = tuple(map(perm.__getitem__, layout))
-                cosets.setdefault((project, _canonical(take, segments)), []).append(
-                    (take, permute, project, integral(c)))
-            reps = []
-            for group in cosets.values():
-                take, permute, project, c = group[0]
-                if len(group) != order or any(g[3] != c for g in group):
-                    raise SpecError(f"branches are not symmetric under slot classes {classes}")
+                coset = (project, _canonical(segments, take))
+                if coset in reps:
+                    continue
+                reps[coset] = (permute, project, integral(c))
+                pairs = tuple((where[a], where[b]) for a, b in permute[2]) if permute else ()
                 if permute not in compiled:
-                    pairs = [(permute[1][a], permute[1][b]) for a, b in permute[2]] if permute else ()
                     compiled[permute] = (
-                        None if take == identity else itemgetter(*take), tuple(pairs), {})
-                reps.append((permute, project, c))
+                        None if take == identity and not pairs else take, pairs, {})
             return (
                 tuple((step, freeze(child)) for step, child in children.items()),
-                tuple(reps),
+                tuple(reps.values()),
             )
 
-        root: tuple = ({}, {})
-        graded, projects = False, set()
-        for coeff, steps in self.branches:
-            steps = list(steps)
-            project = steps.pop() if steps and steps[-1][0] == "project" else None
-            permute = steps.pop() if steps and steps[-1][0] == "permute" else None
-            graded = graded or bool(permute and permute[2])
-            projects.add(project)
-            node = root
-            for step in steps:
-                node = node[0].setdefault(step, ({}, {}))
-            accumulate(node[1], [((permute, project), coeff)])
-        # A class must look alike to every projection, and even to a
-        # graded one: only there are all Koszul signs inside it 1.
-        for cls in big:
-            for project in projects:
-                parities = {project[1][s - 1] if project else None for s in cls}
-                if len(parities) > 1 or (graded and parities != {0}):
-                    raise SpecError(f"slot class {cls} is not projected evenly")
+        canon = partial(_canonical, tuple(segments)) if segments else None
         for name, value in (("classes", classes), ("plan", freeze(root)), ("_tails", compiled),
-                            ("_layout", layout), ("_segments", tuple(segments))):
+                            ("_layout", layout), ("_segments", tuple(segments)),
+                            ("_canon", canon)):
             object.__setattr__(self, name, value)
 
     def apply(self, spec: CoalgebraSpec, v) -> FormalTensor:
@@ -397,33 +386,10 @@ class CoidentityMap:
 
     def _walk(self, spec, node, t: dict, prune: bool, sums: dict) -> None:
         children, tails = node
-        segments = self._segments
         for permute, project, coeff in tails:
             take, pairs, signs = self._tails[permute]
-            acc = sums.setdefault(project, {})
-            get = acc.get
-            for key, c in t.items():
-                c *= coeff
-                if pairs:
-                    # The Koszul sign depends only on the factor parities.
-                    pattern = tuple(map(_PARITY, key))
-                    sign = signs.get(pattern)
-                    if sign is None:
-                        sign = signs[pattern] = koszul_sign(pattern, pairs)
-                    if sign < 0:
-                        c = -c
-                if take is not None:
-                    key = take(key)
-                if segments:
-                    key = _canonical(key, segments)
-                # `accumulate`, inlined in the hottest loop of the engine.
-                prev = get(key)
-                if prev is not None:
-                    c += prev
-                if c:
-                    acc[key] = c
-                elif prev is not None:
-                    del acc[key]
+            permute_terms(t.items(), take, pairs, sums.setdefault(project, {}), coeff,
+                          self._canon, signs)
         for step, child in children:
             u = _apply_step(spec, t, step, prune)
             if u:
@@ -440,7 +406,8 @@ class CoidentityMap:
             for lo, hi in self._segments:
                 block = key[lo:hi]
                 stab *= prod(map(factorial, Counter(block).values()))
-                keys = [k[:lo] + b + k[hi:] for k in keys for b in _arrangements(block)]
+                keys = [k[:lo] + b + k[hi:] for k in keys
+                        for b in set(itertools.permutations(block))]
             c = Fraction(c * stab)
             for k in keys:
                 yield (k if back is None else back(k)), c
@@ -455,29 +422,12 @@ class CoidentityMap:
         return self.describe()
 
 
-def _canonical(key: tuple, segments) -> tuple:
+def _canonical(segments, key: tuple) -> tuple:
     """A key laid out class by class with each class segment sorted: one
     key per orbit of the slot classes' group."""
     for lo, hi in segments:
         key = key[:lo] + tuple(sorted(key[lo:hi])) + key[hi:]
     return key
-
-
-def _arrangements(block: tuple):
-    """The distinct orderings of a sorted tuple, in lexicographic order."""
-    a = list(block)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
@@ -504,7 +454,7 @@ def _step_name(step) -> str:
 def _apply_step(spec, t: dict, step, prune: bool) -> dict:
     kind = step[0]
     if kind == "permute":
-        return dict(permute_terms(t.items(), step[1], step[2]))
+        return permute_terms(t.items(), step[1], step[2])
     if kind == "project":
         sig = step[1]
         return {
@@ -564,43 +514,46 @@ def _build_steps(mono: Monomial, pos: int, sig) -> list:
     return steps
 
 
-def slot_classes(p: NAPoly) -> tuple:
-    """The slot classes of a multilinear identity: slots a and b share a
-    class when swapping them leaves p unchanged, which is an equivalence
-    relation.  A slot of a graded identity joins a class only if its
-    signature entry is 0 (`e`).  Sorted tuples, ordered by first slot.
+def _tail_dicts(node):
+    """The tail-group dicts of every node of a plan trie under construction."""
+    yield node[1]
+    for child in node[0].values():
+        yield from _tail_dicts(child)
 
-    Each monomial is held as its slot-free shape and its slots in leaf
-    order, so a swap is one `map` over the slots, with no new NAPoly."""
-    terms = {}
-    for c, mono in p.terms:
-        slots: list = []
-        terms[_shape(mono, slots), tuple(slots)] = c
-    sig = p.signature
+
+def _slot_classes(arity: int, tails: list) -> tuple:
+    """The slot classes of a map with these tail-group dicts, keyed by
+    (permute step, project step): see `CoidentityMap`.  Swaps that are
+    symmetries form a group, so sharing a class is an equivalence and a
+    slot need only be tested against the first slot of each class."""
+    graded = any(permute and permute[2] for t in tails for permute, _ in t)
+    sigs = {project[1] if project else (None,) * arity for t in tails for _, project in t}
+
+    def swapped(permute, a: int, b: int):
+        perm = list(permute[1] if permute else range(arity))
+        perm[a], perm[b] = perm[b], perm[a]
+        perm = tuple(perm)
+        if perm == tuple(range(arity)):
+            return None
+        return ("permute", perm, inversions(perm) if graded else ())
+
+    def symmetric(a: int, b: int) -> bool:
+        return all(
+            sig[a] == sig[b] and not (graded and sig[a] != 0) for sig in sigs
+        ) and all(
+            {(swapped(permute, a, b), project): c for (permute, project), c in t.items()} == t
+            for t in tails
+        )
+
     classes: list = []
-    for b in range(1, p.arity + 1):
-        free = sig is None or sig[b - 1] == 0
+    for b in range(arity):
         for cls in classes:
-            swap = list(range(p.arity + 1))
-            swap[cls[0]], swap[b] = b, cls[0]
-            if free and (sig is None or sig[cls[0] - 1] == 0) and all(
-                terms.get((shape, tuple(map(swap.__getitem__, slots)))) == c
-                for (shape, slots), c in terms.items()
-            ):
+            if symmetric(cls[0], b):
                 cls.append(b)
                 break
         else:
             classes.append([b])
-    return tuple(map(tuple, classes))
-
-
-def _shape(mono: Monomial, slots: list):
-    """The tree of a monomial with its derivative orders at the leaves;
-    its slots are appended to `slots` in leaf order."""
-    if isinstance(mono, Leaf):
-        slots.append(mono.var.slot)
-        return mono.var.deriv
-    return (_shape(mono.left, slots), _shape(mono.right, slots))
+    return tuple(tuple(s + 1 for s in cls) for cls in classes)
 
 
 def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
@@ -610,7 +563,6 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
     graded, with primes realized as the transposed coderivation) and any
     element c, pairing a_1 (x) ... (x) a_k against the returned map at c
     equals the identity evaluated on the a_i at c in the dual algebra.
-    The map's slot classes are `slot_classes(p)`.
     """
     if not p.is_multilinear():
         raise SpecError(
@@ -631,7 +583,7 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
         if sig is not None and any(s is not None for s in sig):
             steps.append(("project", sig))
         branches.append((coeff * sign, tuple(steps)))
-    return CoidentityMap(arity=p.arity, branches=tuple(branches), classes=slot_classes(p))
+    return CoidentityMap(arity=p.arity, branches=tuple(branches))
 
 
 # The coderivation law delta . d = (d (x) id + id (x) d) . delta, as the

@@ -8,7 +8,8 @@ tests and memoization safe.
 
 Every sparse sum in the engine, from vector addition to the coidentity
 steps and the Grassmann envelope products, is merged by `accumulate`,
-the single place that adds coefficients into a dict and drops the zeros.
+the single place that adds coefficients into a dict and drops the zeros;
+`permute_terms` inlines it, fused with a reordering of the keys.
 Results that are already merged are wrapped by the private `_merged`
 constructors, which only sort.  Likewise `koszul_sign` is the single
 place that computes the Koszul sign of a reordering.
@@ -308,7 +309,7 @@ class FormalTensor:
         perm[position - 1 : position + 1] = position, position - 1
         pairs = inversions(perm) if graded else ()
         return FormalTensor._merged(
-            self._arity, dict(permute_terms(self._terms.items(), perm, pairs))
+            self._arity, permute_terms(self._terms.items(), perm, pairs)
         )
 
     def max_index(self) -> int:
@@ -343,17 +344,29 @@ def koszul_sign(parities, pairs) -> int:
 _PARITY = attrgetter("parity")
 
 
-def permute_terms(items, perm, pairs):
-    """Yield the (key, coeff) pairs with every key permuted by `perm` (of
-    at least two factors) and each coefficient times the Koszul sign of
-    `pairs`: `inversions(perm)` for a graded reordering, () for a plain one.
-    A permutation is a bijection on keys, so merged input yields merged
-    output.  The sign depends only on the factor parities of a key, so it
-    is computed once per parity pattern, at most 2**len(perm) times."""
-    take = itemgetter(*perm)
-    signs: dict = {}  # parity pattern -> Koszul sign
+def permute_terms(items, perm, pairs, acc=None, coeff=1, canon=None, signs=None) -> dict:
+    """Add the (key, coeff) pairs of `items` into `acc` (a new dict when
+    None) and return it, every key permuted by `perm` (of at least two
+    factors; None keeps the order) and each coefficient times the Koszul
+    sign of `pairs`, result positions: `inversions(perm)` for a graded
+    reordering, () for a plain one.  In the same loop every coefficient
+    is scaled by `coeff` and every permuted key mapped by `canon` when
+    given; the adding is `accumulate`'s, inlined, since this is the
+    hottest loop of the coidentity evaluator.
+
+    The sign depends only on the factor parities of a key, so it is
+    computed once per parity pattern, at most 2**len(perm) times; a
+    caller that permutes by the same perm and pairs again may pass one
+    `signs` dict to keep these across calls."""
+    take = itemgetter(*perm) if perm else None
+    if acc is None:
+        acc = {}
+    if signs is None:
+        signs = {}  # parity pattern -> Koszul sign
+    get = acc.get
     for key, c in items:
-        key = take(key)
+        if take is not None:
+            key = take(key)
         if pairs:
             pattern = tuple(map(_PARITY, key))
             sign = signs.get(pattern)
@@ -361,7 +374,18 @@ def permute_terms(items, perm, pairs):
                 sign = signs[pattern] = koszul_sign(pattern, pairs)
             if sign < 0:
                 c = -c
-        yield key, c
+        if canon is not None:
+            key = canon(key)
+        if coeff != 1:
+            c *= coeff
+        prev = get(key)
+        if prev is not None:
+            c += prev
+        if c:
+            acc[key] = c
+        elif prev is not None:
+            del acc[key]
+    return acc
 
 
 def extract_components(t: FormalTensor, side: str = "left"):

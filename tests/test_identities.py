@@ -25,8 +25,7 @@ from cocheck.catalog import list_examples
 from cocheck.coalgebra import d_label
 from cocheck.dual import coordinate_functional
 from cocheck.identities import (
-    CODERIVATION, Leaf, NAPoly, Node, _apply_step, _arrangements, requires_coderivation,
-    slot_classes, substitute_slots,
+    CODERIVATION, Leaf, NAPoly, Node, _apply_step, requires_coderivation, substitute_slots,
 )
 from test_syntax import coeff_st, monomial_st
 
@@ -212,37 +211,78 @@ class TestSlotClasses:
     ])
     def test_detected_classes(self, cat, name, sig, classes):
         p = cat[name] if sig is None else cat[name].with_signature(sig)
-        assert slot_classes(p) == classes
         for koszul_pairing in (False, True):
             assert translate(p, koszul_pairing=koszul_pairing).classes == classes
 
-    def test_every_term_must_be_symmetric(self):
+    def test_classes_follow_the_sign_convention(self):
+        # Under the alternative convention the swap of the odd slots 1 and
+        # 2 is plain and its sign moves into the coefficient, so the
+        # difference becomes symmetric; a graded swap of odd slots never
+        # joins a class.
+        p = parse_identity("(x1 (x2 x3)) - (x2 (x1 x3))").with_signature("ooe")
+        assert translate(p).classes == ((1,), (2,), (3,))
+        cmap = translate(p, koszul_pairing=True)
+        assert cmap.classes == ((1, 2), (3,))
+        for spec in (builtin("example7"), builtin("example8")):
+            failing = [label for label in spec.labels_upto(4) if cmap.apply(spec, label)]
+            assert failing, spec.name
+            for label in failing:
+                assert cmap.apply(spec, label) == naive_apply(cmap, spec, label)
+
+    @pytest.mark.parametrize("text", [
         # Swapping x1 and x2 maps the first two terms onto each other but
         # not the third, so no class forms.
-        p = parse_identity("((x1 x2) x3) + ((x2 x1) x3) + ((x1 x3) x2)")
-        assert slot_classes(p) == translate(p).classes == ((1,), (2,), (3,))
+        "((x1 x2) x3) + ((x2 x1) x3) + ((x1 x3) x2)",
+        # The same, with the asymmetric term on a bracketing of its own:
+        # every node of the plan must be symmetric.
+        "((x1 x2) x3) + ((x2 x1) x3) + (x1 (x2 x3))",
+        "(x1 (x2 x3)) + (x1 (x3 x2)) + ((x1 x2) x3)",
+    ])
+    def test_every_term_must_be_symmetric(self, text):
+        cmap = translate(parse_identity(text))
+        assert cmap.classes == ((1,), (2,), (3,))
+        ex5 = builtin("example5")
+        for label in ex5.labels_upto(4):
+            assert cmap.apply(ex5, label) == naive_apply(cmap, ex5, label)
 
-    def test_hand_built_maps_have_singleton_classes(self):
+    def test_hand_built_maps_find_their_classes(self):
         assert CODERIVATION.classes == ((1,), (2,))
+        ex1, ex7 = builtin("example1"), builtin("example7")
         split = ("delta", 1, None, None), ("permute", (1, 0), ())
-        assert CoidentityMap(2, ((1, split),)).classes == ((1,), (2,))
-
-    def test_asymmetric_branches_are_refused(self):
-        split = ("delta", 1, None, None), ("permute", (1, 0), ())
-        with pytest.raises(SpecError, match="not symmetric"):
-            CoidentityMap(2, ((1, split),), classes=((1, 2),))
-        with pytest.raises(SpecError, match="not symmetric"):
-            CoidentityMap(2, ((1, split), (-1, split[:1])), classes=((1, 2),))
-        symmetric = CoidentityMap(2, ((1, split), (1, split[:1])), classes=((1, 2),))
-        assert symmetric.plan == (((split[0], ((), ((split[1], None, 1),))),), ())
-        ex1 = builtin("example1")
-        for label in ex1.labels_upto(6):
-            assert symmetric.apply(ex1, label) == naive_apply(symmetric, ex1, label)
-        with pytest.raises(SpecError, match="partition"):
-            CoidentityMap(2, ((1, split),), classes=((1,),))
         graded = ("delta", 1, None, None), ("permute", (1, 0), ((0, 1),))
-        with pytest.raises(SpecError, match="projected evenly"):
-            CoidentityMap(2, ((1, graded), (1, split[:1])), classes=((1, 2),))
+        cases = [
+            (((1, split),), ((1,), (2,))),
+            (((1, split), (-1, split[:1])), ((1,), (2,))),
+            (((1, split), (1, split[:1])), ((1, 2),)),
+            # A graded swap is a symmetry only where the projection keeps
+            # both factors even.
+            (((1, graded), (1, graded[:1])), ((1,), (2,))),
+            (((1, graded + (("project", (0, 0)),)), (1, graded[:1] + (("project", (0, 0)),))),
+             ((1, 2),)),
+            (((1, graded + (("project", (1, 1)),)), (1, graded[:1] + (("project", (1, 1)),))),
+             ((1,), (2,))),
+            # Unequal projections break the symmetry of equal branches.
+            (((1, split + (("project", (0, None)),)), (1, split[:1] + (("project", (0, None)),))),
+             ((1,), (2,))),
+        ]
+        for branches, classes in cases:
+            cmap = CoidentityMap(2, branches)
+            assert cmap.classes == classes, branches
+            for spec in (ex1, ex7):
+                for label in spec.labels_upto(6):
+                    assert cmap.apply(spec, label) == naive_apply(cmap, spec, label)
+        symmetric = CoidentityMap(2, cases[2][0])
+        assert symmetric.plan == (((split[0], ((), ((split[1], None, 1),))),), ())
+        # Slots 1 and 2 are symmetric after delta@1 . delta@1 but not after
+        # delta@2 . delta@1, in either order of the nodes.
+        left = ("delta", 1, None, None), ("delta", 1, None, None)
+        right = ("delta", 1, None, None), ("delta", 2, None, None)
+        swap = left + (("permute", (1, 0, 2), ()),)
+        for branches in (((1, left), (1, swap), (1, right)), ((1, right), (1, left), (1, swap))):
+            cmap = CoidentityMap(3, branches)
+            assert cmap.classes == ((1,), (2,), (3,))
+            for label in ex1.labels_upto(6):
+                assert cmap.apply(ex1, label) == naive_apply(cmap, ex1, label)
 
     def test_orbit_sums_expand_with_stabilizer_weights(self, cat):
         # (x1 x2) + (x2 x1) on example1 fails at e:0, whose delta is
@@ -250,8 +290,11 @@ class TestSlotClasses:
         cmap = translate(cat["anticommutativity"])
         e0 = BasisLabel("e", 0)
         assert cmap.apply(builtin("example1"), e0) == FormalTensor(2, {(e0, e0): 2})
-        a, b = BasisLabel("f", 1), BasisLabel("f", 2)
-        assert list(_arrangements((a, a, b))) == [(a, a, b), (a, b, a), (b, a, a)]
+        # Jordan's class (1, 2, 3): an orbit sum at (a, a, b, c) stands for
+        # its three distinct arrangements, each fixed by 2 of the 6 swaps.
+        a, b, c = BasisLabel("f", 1), BasisLabel("f", 2), BasisLabel("f", 3)
+        assert dict(translate(cat["jordan-linearized"])._expand({(a, a, b, c): 3})) == {
+            (a, a, b, c): 6, (a, b, a, c): 6, (b, a, a, c): 6}
 
     def test_a_class_apart_in_slot_order(self):
         # Slots 1 and 3 form a class, so orbit sums are laid out as
@@ -263,6 +306,19 @@ class TestSlotClasses:
         assert failing
         for label in failing:
             assert cmap.apply(ex5, label) == naive_apply(cmap, ex5, label)
+
+    def test_graded_signs_in_a_layout_apart_from_slot_order(self):
+        # The even slots 1 and 3 form a class, laid out as slots 1, 3, 2,
+        # 4.  The odd slots 2 and 4 are reversed, and slots 3 and 4 are
+        # not, so the Koszul sign must be read on the class layout.
+        p = parse_identity("((x1 x3) (x4 x2)) + ((x3 x1) (x4 x2))").with_signature("eoeo")
+        cmap = translate(p)
+        assert cmap.classes == ((1, 3), (2,), (4,))
+        for spec in (builtin("example7"), without_pruning(builtin("example8"))):
+            failing = [label for label in spec.labels_upto(4) if cmap.apply(spec, label)]
+            assert failing, spec.name
+            for label in failing:
+                assert cmap.apply(spec, label) == naive_apply(cmap, spec, label)
 
 
 def _multilinear(mono, slots, keep_derivs):
