@@ -4,10 +4,19 @@ A `CoalgebraSpec` pairs family declarations with a comultiplication rule
 and an optional coderivation rule in the DSL of `rules`.  Checks run
 over explicit finite index ranges and report exact witnesses; the engine
 never claims unbounded verification.
+
+`delta` and `d_label` are the rule evaluators.  On a label's first call
+they run its family's compiled rule (`_rule`) once in integer
+arithmetic, keep the result on the spec as a sorted term table with
+integral coefficients as `int`, and cache and return a `Fraction` view
+of that table.  The coidentity plan, the dual oracle's transposed delta
+and `validate_shift_bound` read the table through `_int_terms`, which
+calls the evaluator on a miss.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Mapping, Optional, Union
 
@@ -138,12 +147,17 @@ class CoalgebraSpec:
             object.__setattr__(self, "coderivation", cod)
         if self.shift_bound < 0:
             raise SpecError("shift_bound must be nonnegative")
+        # Rule evaluation, step kind -> label -> ((key, c), ...) sorted,
+        # with integral coefficients as int: the one term table, filled
+        # by `delta` and `d_label` and read through `_int_terms`.  The
+        # two caches below hold its `Fraction` view.  `_rules` holds each
+        # family's rule compiled on first use and `_labels` the labels
+        # it has built, family -> index -> label (see `_rule`).
+        object.__setattr__(self, "_int_cache", {"delta": {}, "d": {}})
         object.__setattr__(self, "_delta_cache", {})
         object.__setattr__(self, "_d_cache", {})
-        # The coidentity plan's view of those two caches, step kind ->
-        # label -> ((key, c), ...) with integral coefficients as int;
-        # grown by `identities._int_terms`.
-        object.__setattr__(self, "_int_cache", {"delta": {}, "d": {}})
+        object.__setattr__(self, "_rules", {"delta": {}, "d": {}})
+        object.__setattr__(self, "_labels", {})
         # The dual oracle's transposed delta, (l, r) -> [(k, c)] for the
         # labels k with index <= window; grown by `dual.dual_product`.
         object.__setattr__(self, "_product_table", SimpleNamespace(window=-1, hits={}))
@@ -241,20 +255,32 @@ def delta(spec: CoalgebraSpec, label: BasisLabel) -> FormalTensor:
     if not decl.contains(label.index):
         raise RangeError(f"label {label} outside declared range {decl.range_str()}")
     n = label.index
-    items = []
-    for term in spec.delta.get(label.family, ()):
-        if term.guard is not None and not term.guard.matches(n):
-            continue
-        upper = 0 if term.sum_upper is None else n + term.sum_upper
-        for i in range(upper + 1):
-            c = term.coeff.evaluate(n, i)
-            if c:
-                l = spec.label(term.left_family, term.left_index.evaluate(n, i))
-                r = spec.label(term.right_family, term.right_index.evaluate(n, i))
-                items.append(((l, r), c))
-    result = FormalTensor._merged(2, accumulate({}, items))
+    acc = accumulate({}, _delta_items(spec, _rule(spec, "delta", label.family, n), n))
+    result = FormalTensor._merged(2, _tabulate(spec._int_cache["delta"], label, acc))
     spec._delta_cache[label] = result
     return result
+
+
+def _delta_items(spec, terms, n: int):
+    """The (key, c) terms of the compiled delta rule `terms` at index n,
+    with c an `int` where it is integral."""
+    for coeff, uses_i, upper, (lname, ln, li, lc, lrow), (rname, rn, ri, rc, rrow) in terms:
+        c = None if uses_i else coeff.value(n)
+        if c == 0:
+            continue
+        lbase, rbase = ln * n + lc, rn * n + rc
+        for i in range(1 if upper is None else n + upper + 1):
+            if uses_i:
+                c = coeff.value(n, i)
+                if not c:
+                    continue
+            l, r = lbase + li * i, rbase + ri * i
+            left, right = lrow.get(l), rrow.get(r)
+            if left is None:
+                left = lrow[l] = spec.label(lname, l)
+            if right is None:
+                right = rrow[r] = spec.label(rname, r)
+            yield (left, right), c
 
 
 def delta_linear(spec: CoalgebraSpec, v: FormalVector) -> FormalTensor:
@@ -281,16 +307,84 @@ def d_label(spec: CoalgebraSpec, label: BasisLabel) -> FormalVector:
             f"{spec.coderivation_max_index}, got {label}"
         )
     n = label.index
-    items = []
-    for term in spec.coderivation.get(label.family, ()):
-        if term.guard is not None and not term.guard.matches(n):
-            continue
-        c = term.coeff.evaluate(n)
-        if c:
-            items.append((spec.label(term.family, term.index.evaluate(n)), c))
-    result = FormalVector._merged(accumulate({}, items))
+    acc = accumulate({}, _d_items(spec, _rule(spec, "d", label.family, n), n))
+    result = FormalVector._merged(_tabulate(spec._int_cache["d"], label, acc))
     spec._d_cache[label] = result
     return result
+
+
+def _d_items(spec, terms, n: int):
+    """The (label, c) terms of the compiled coderivation rule `terms` at
+    index n, with c an `int` where it is integral."""
+    for coeff, (name, cn, _, c0, row) in terms:
+        c = coeff.value(n)
+        if c:
+            m = cn * n + c0
+            label = row.get(m)
+            if label is None:
+                label = row[m] = spec.label(name, m)
+            yield label, c
+
+
+def _rule(spec: CoalgebraSpec, kind: str, family: str, n: int):
+    """The compiled terms of `family`'s delta or d rule that apply at
+    index n, in canonical order.
+
+    Each family's rule is compiled on first use into its unguarded
+    terms, its exact-guard terms indexed by their n, and its
+    residue-guard terms.  A term's targets are (family, cn, ci, c0, row):
+    its index expression and the family's row of `spec._labels`, so a
+    label is built, and its range checked by `spec.label`, once per spec.
+    """
+    rules = spec._rules[kind]
+    compiled = rules.get(family)
+    if compiled is None:
+        plain, exact, modular = [], {}, []
+        rule = spec.delta if kind == "delta" else spec.coderivation
+        for t in rule.get(family, ()):
+            if kind == "delta":
+                entry = (t.coeff, t.coeff.uses_i(), t.sum_upper,
+                         _target(spec, t.left_family, t.left_index),
+                         _target(spec, t.right_family, t.right_index))
+            else:
+                entry = (t.coeff, _target(spec, t.family, t.index))
+            if t.guard is None:
+                plain.append(entry)
+            elif t.guard.exact is not None:
+                exact.setdefault(t.guard.exact, []).append(entry)
+            else:
+                modular.append((t.guard, entry))
+        compiled = rules[family] = (plain, exact, modular)
+    plain, exact, modular = compiled
+    if not exact and not modular:
+        return plain
+    return plain + exact.get(n, []) + [e for guard, e in modular if guard.matches(n)]
+
+
+def _target(spec: CoalgebraSpec, family: str, index) -> tuple:
+    row = spec._labels.setdefault(family, {})
+    return (family, index.n, index.i, index.const, row)
+
+
+def _tabulate(cache: dict, label, acc: dict) -> dict:
+    """Store the merged terms `acc` as `label`'s integer table in `cache`,
+    sorted; return its `Fraction` view, which shares one `Fraction` per
+    distinct coefficient (most rules have a handful), so the view costs
+    few allocations."""
+    table = cache[label] = tuple(sorted(acc.items()))
+    fractions = {c: Fraction(c) for c in set(acc.values())}
+    return {key: fractions[c] for key, c in table}
+
+
+def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
+    """The terms of delta(spec, label) or d_label(spec, label) as
+    ((key, c), ...), integral coefficients as int: the table that rule
+    evaluation fills beside its `Fraction` view."""
+    table = spec._int_cache[kind].get(label)
+    if table is None:
+        (delta if kind == "delta" else d_label)(spec, label)
+        table = spec._int_cache[kind][label]
+    return table
 
 
 def apply_d(spec: CoalgebraSpec, v: Union[FormalVector, BasisLabel]) -> FormalVector:
@@ -376,7 +470,7 @@ def validate_shift_bound(spec: CoalgebraSpec, max_index: int) -> CheckReport:
 
     for label in spec.labels_upto(max_index):
         n = label.index
-        for (l, r), _ in delta(spec, label).items():
+        for (l, r), _ in _int_terms(spec, "delta", label):
             for factor in (l, r):
                 if spec.family(factor.family).infinite and factor.index > n + s:
                     bad(label, f"factor {factor} exceeds index {n} + {s}")
@@ -385,7 +479,7 @@ def validate_shift_bound(spec: CoalgebraSpec, max_index: int) -> CheckReport:
         if spec.differential and (
             spec.coderivation_max_index is None or n <= spec.coderivation_max_index
         ):
-            for m, _ in d_label(spec, label).items():
+            for m, _ in _int_terms(spec, "d", label):
                 if spec.family(m.family).infinite and m.index > n + s:
                     bad(label, f"d image {m} exceeds index {n} + {s}")
                 if m.index < n - s:

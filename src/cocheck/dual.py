@@ -10,10 +10,11 @@ case.  The oracle reads only `delta` and `d_label`, never the coidentity
 translation.
 
 Products look their terms up in a transposed-delta table (l, r) ->
-[(k, c)], built from `delta` alone and kept on the spec, so a product
-costs one lookup per pair of support labels instead of a scan of its
-window.  The table holds integral coefficients as `int`; `dual_product`
-multiplies them into `Fraction`s, so its results stay `Fraction`-valued.
+[(k, c)], read from the integer term table of `delta` (`_int_terms`) and
+kept on the spec, so a product costs one lookup per pair of support
+labels instead of a scan of its window.  The table holds integral
+coefficients as `int`; `dual_product` multiplies them into `Fraction`s,
+so its results stay `Fraction`-valued.
 
 `bruteforce_identity` runs the |labels|^arity tuples as a loop nest over
 the slots (`DualEvaluator.nonzero_residuals`): each subtree of the identity
@@ -38,8 +39,8 @@ from .coalgebra import (
     CoalgebraSpec,
     MAX_WITNESSES,
     Witness,
+    _int_terms,
     d_label,
-    delta,
     scan,
     validate_shift_bound,
 )
@@ -66,8 +67,8 @@ def _require_window(spec: CoalgebraSpec, max_index: int) -> None:
 
 def _transposed_delta(spec: CoalgebraSpec, window: int) -> dict:
     """The table (l, r) -> [(k, c)] listing every term c l (x) r of
-    delta(k), for all labels k with index <= window; integral
-    coefficients are held as `int`.
+    delta(k), for all labels k with index <= window, read from the
+    integer term table, so integral coefficients are `int`.
 
     It is kept on the spec and grown, never rebuilt: a call with a larger
     window than any before it adds the labels in between.
@@ -75,10 +76,10 @@ def _transposed_delta(spec: CoalgebraSpec, window: int) -> dict:
     table = spec._product_table
     if window > table.window:
         found = [
-            (lr, (k, integral(c)))
+            (lr, (k, c))
             for k in spec.labels_upto(window)
             if k.index > table.window
-            for lr, c in delta(spec, k).items()
+            for lr, c in _int_terms(spec, "delta", k)
         ]
         hits = table.hits
         for lr, hit in found:

@@ -15,8 +15,9 @@ whose nodes carry tail groups, the branches ending there grouped by
 their trailing permutation and projection with summed coefficients.
 `apply` walks the trie depth first, so a prefix shared by many branches
 is computed once per label.  Inside the walk integral coefficients are
-plain `int`s, read from an integer view of the spec's rule caches; the
-result is all `Fraction` again.  The coderivation law is one more such
+plain `int`s, read from the spec's integer term table, which rule
+evaluation fills (`coalgebra._int_terms`); the result is all `Fraction`
+again.  The coderivation law is one more such
 map, `CODERIVATION`.
 
 Orbit sums: the linearized identities (Jordan, Moufang, right
@@ -55,8 +56,7 @@ from typing import Optional, Union
 from .coalgebra import (
     CheckReport,
     CoalgebraSpec,
-    d_label,
-    delta,
+    _int_terms,
     scan,
 )
 from .errors import SpecError
@@ -428,17 +428,6 @@ def _canonical(segments, key: tuple) -> tuple:
     for lo, hi in segments:
         key = key[:lo] + tuple(sorted(key[lo:hi])) + key[hi:]
     return key
-
-
-def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
-    """The terms of delta(spec, label) or d_label(spec, label) as
-    ((key, c), ...), integral coefficients as int; cached on the spec."""
-    cache = spec._int_cache[kind]
-    terms = cache.get(label)
-    if terms is None:
-        value = delta(spec, label) if kind == "delta" else d_label(spec, label)
-        terms = cache[label] = tuple((key, integral(c)) for key, c in value.items())
-    return terms
 
 
 def _step_name(step) -> str:

@@ -21,9 +21,11 @@ equal to a plain tuple with the same fields.  The engine never builds
 such tuples: every label comes from `CoalgebraSpec.label`,
 `CoalgebraSpec.labels_upto` or a rule evaluation, and tensor keys are
 tuples *of* labels, never of label fields.  Internal loops may hold
-integral coefficients as `int` (`integral`; see `CoidentityMap.apply`
-and `DualEvaluator.nonzero_residuals`), but every coefficient that
-crosses a public boundary is a `Fraction`.
+integral coefficients as `int`: rule evaluation (`IndexPoly.value` and
+the term table that `delta` and `d_label` fill), the coidentity walk
+(`CoidentityMap.apply`), the oracle's transposed delta and loop nest
+(`DualEvaluator.nonzero_residuals`).  Every coefficient that crosses a
+public boundary is a `Fraction`.
 """
 from __future__ import annotations
 

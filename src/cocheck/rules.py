@@ -12,12 +12,19 @@ index classes and lets finite transposition tables share the format.
 integers, `+ - * / ^` and parentheses.  The bounds shared with the
 identity language (nesting, literal length, error quotes) are in
 `syntax`; this module adds the degree bound MAX_DEGREE.
+
+Rules are evaluated in integer arithmetic: `IndexPoly.value` compiles
+its polynomial on first use to a common denominator over integer
+monomials and returns an `int` when the value is integral, a `Fraction`
+otherwise; `evaluate` is its `Fraction`.  `coalgebra` compiles each
+family's terms once per spec and keeps one table of their values.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import SpecError, SpecFileError
@@ -106,14 +113,19 @@ class AffineIndex:
 
 
 class IndexPoly:
-    """A polynomial in (n, i) with exact rational coefficients."""
+    """A polynomial in (n, i) with exact rational coefficients.
 
-    __slots__ = ("_coeffs",)
+    Its first evaluation compiles it to a common denominator and integer
+    monomials, so `value` runs in `int` arithmetic.
+    """
+
+    __slots__ = ("_coeffs", "_kernel")
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         acc = accumulate({}, (((int(dn), int(di)), scalar(c)) for (dn, di), c in items))
         object.__setattr__(self, "_coeffs", tuple(sorted(acc.items())))
+        object.__setattr__(self, "_kernel", None)
 
     @classmethod
     def const(cls, c) -> "IndexPoly":
@@ -131,11 +143,24 @@ class IndexPoly:
     def coeffs(self):
         return self._coeffs
 
-    def evaluate(self, n: int, i: int = 0) -> Fraction:
-        total = Fraction(0)
-        for (dn, di), c in self._coeffs:
+    def value(self, n: int, i: int = 0):
+        """The value at (n, i): an `int` when it is integral, else a `Fraction`."""
+        kernel = self._kernel
+        if kernel is None:
+            den = lcm(*(c.denominator for _, c in self._coeffs))
+            kernel = (den, tuple((dn, di, c.numerator * (den // c.denominator))
+                                 for (dn, di), c in self._coeffs))
+            object.__setattr__(self, "_kernel", kernel)
+        den, monomials = kernel
+        total = 0
+        for dn, di, c in monomials:
             total += c * n**dn * i**di
-        return total
+        if den == 1 or total % den == 0:
+            return total // den
+        return Fraction(total, den)
+
+    def evaluate(self, n: int, i: int = 0) -> Fraction:
+        return Fraction(self.value(n, i))
 
     def degree(self) -> int:
         return max((dn + di for (dn, di), _ in self._coeffs), default=0)

@@ -55,24 +55,33 @@ def save_spec(spec: CoalgebraSpec, path) -> None:
 
 
 class _Reader:
-    """Walks parsed JSON tracking the key path for error messages."""
+    """Walks parsed JSON tracking the key path for error messages.
 
-    def __init__(self, data, path):
+    The readers of one document share `parsed`, a memo of the rule
+    expressions parsed so far: (parser, text) -> value.  Only successful
+    parses are kept, so an error always names its own key path.
+    """
+
+    def __init__(self, data, path, parsed=None):
         self.data = data
         self.path = path
+        self.parsed = {} if parsed is None else parsed
 
     def fail(self, message):
         raise SpecFileError(message, key=self.path)
 
+    def child(self, data, path):
+        return _Reader(data, path, self.parsed)
+
     def require(self, key):
         if not isinstance(self.data, dict) or key not in self.data:
             self.fail(f"missing required key {key!r}")
-        return _Reader(self.data[key], f"{self.path}.{key}")
+        return self.child(self.data[key], f"{self.path}.{key}")
 
     def optional(self, key, default=None):
         if isinstance(self.data, dict) and key in self.data:
-            return _Reader(self.data[key], f"{self.path}.{key}")
-        return _Reader(default, f"{self.path}.{key}")
+            return self.child(self.data[key], f"{self.path}.{key}")
+        return self.child(default, f"{self.path}.{key}")
 
     def as_str(self):
         if not isinstance(self.data, str):
@@ -92,9 +101,7 @@ class _Reader:
     def as_list(self):
         if not isinstance(self.data, list):
             self.fail("expected a list")
-        return [
-            _Reader(item, f"{self.path}[{idx}]") for idx, item in enumerate(self.data)
-        ]
+        return [self.child(item, f"{self.path}[{idx}]") for idx, item in enumerate(self.data)]
 
     def as_dict(self):
         if not isinstance(self.data, dict):
@@ -177,20 +184,23 @@ def _read_guard(reader) -> Optional[Guard]:
     reader.fail('guard must carry "eq" or "mod"/"rem"')
 
 
+def _read_parsed(reader, parse):
+    key = (parse, reader.as_str())
+    value = reader.parsed.get(key)
+    if value is None:
+        try:
+            value = reader.parsed[key] = parse(key[1])
+        except EngineError as exc:
+            reader.fail(str(exc))
+    return value
+
+
 def _read_poly(reader) -> IndexPoly:
-    text = reader.as_str()
-    try:
-        return IndexPoly.parse(text)
-    except EngineError as exc:
-        reader.fail(str(exc))
+    return _read_parsed(reader, IndexPoly.parse)
 
 
 def _read_affine(reader) -> AffineIndex:
-    text = reader.as_str()
-    try:
-        return AffineIndex.parse(text)
-    except EngineError as exc:
-        reader.fail(str(exc))
+    return _read_parsed(reader, AffineIndex.parse)
 
 
 def _read_pair(reader):

@@ -436,6 +436,28 @@ class TestCheckCommand:
         assert code == 1  # guarded rule breaks coassociativity
 
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--checks", "cocomm", "--max-index", "5"),
+        ("check", "--checks", "shift-bound", "--max-index", "5"),
+        ("check", "--identity", "(x1 x2) - (x2 x1)", "--max-index", "5"),
+        ("dual", "identity", "--identity", "(x1 x2) - (x2 x1)", "--bound", "5"),
+    ], ids=["cocomm", "shift-bound", "identity", "dual-identity"])
+    def test_rule_that_leaves_a_finite_family(self, capsys, tmp_path, argv):
+        # delta(x_n) = y_n (x) y_n with y = [0, 2]: x_3 names y_3.
+        path = tmp_path / "leave.json"
+        path.write_text(json.dumps({
+            "field": "Q",
+            "families": [{"name": "x", "range": [0, None]}, {"name": "y", "range": [0, 2]}],
+            "delta": [{"family": "x", "terms": [
+                {"coeff": "1", "left": ["y", "n"], "right": ["y", "n"]}]}],
+        }))
+        split = 2 if argv[0] == "dual" else 1
+        code = main([*argv[:split], "--spec", str(path), *argv[split:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "index 3 outside range [0, 2] of family 'y'" in err
+
+
 class TestClosureCommand:
     def test_finite_closure(self, capsys):
         code, report = run_json(

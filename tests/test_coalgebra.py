@@ -18,11 +18,15 @@ from cocheck import (
     coderivation_check,
     delta,
     delta_linear,
+    dumps_spec,
+    gelfand_dorfman,
     graded_dual,
+    kantor,
+    loads_spec,
     validate_shift_bound,
 )
-from cocheck.coalgebra import scan
-from cocheck.rules import deriv_term
+from cocheck.coalgebra import _int_terms, d_label, scan
+from cocheck.rules import Guard, delta_term, deriv_term
 from conftest import vec
 
 
@@ -299,6 +303,128 @@ class TestCoderivationPlan:
         residuals = [w.residual for spec in specs[5:]
                      for w in coderivation_check(spec, 5).witnesses]
         assert any("/3" in r for r in residuals)
+
+
+def fraction_value(poly, n, i=0):
+    """An IndexPoly evaluated term by term in Fraction arithmetic."""
+    return sum((c * n**dn * i**di for (dn, di), c in poly.coeffs), Fraction(0))
+
+
+def reference_delta(spec, label):
+    """delta(spec, label) as the Fraction loop over the rule terms that
+    evaluated it before the integer kernel."""
+    n = label.index
+    items = []
+    for term in spec.delta.get(label.family, ()):
+        if term.guard is not None and not term.guard.matches(n):
+            continue
+        upper = 0 if term.sum_upper is None else n + term.sum_upper
+        for i in range(upper + 1):
+            c = fraction_value(term.coeff, n, i)
+            if c:
+                l = spec.label(term.left_family, term.left_index.evaluate(n, i))
+                r = spec.label(term.right_family, term.right_index.evaluate(n, i))
+                items.append(((l, r), c))
+    return FormalTensor(2, items)
+
+
+def reference_d_label(spec, label):
+    """d_label(spec, label) as the same Fraction loop."""
+    n = label.index
+    items = []
+    for term in spec.coderivation.get(label.family, ()):
+        if term.guard is None or term.guard.matches(n):
+            c = fraction_value(term.coeff, n)
+            if c:
+                items.append((spec.label(term.family, term.index.evaluate(n)), c))
+    return FormalVector(items)
+
+
+def structure_scan_specs():
+    """The seven construction outputs of the structure-scan benchmark,
+    read back from their spec files, at its check window."""
+    ex = {name: builtin(name) for name in ("example1", "example2", "example4", "example5")}
+    built = [
+        graded_dual(builtin("fx-diff-algebra", horizon=48), horizon=48),
+        gelfand_dorfman(ex["example1"]), gelfand_dorfman(ex["example4"]),
+        antisymmetrize(ex["example2"]), antisymmetrize(ex["example5"]),
+        kantor(ex["example1"]), kantor(ex["example4"]),
+    ]
+    return [(loads_spec(dumps_spec(spec)), 32) for spec in built]
+
+
+def fractional_specs():
+    """example4 with rational rule coefficients, some integral at some n."""
+    ex4 = builtin("example4")
+    spec = dataclasses.replace(
+        ex4, name="example4-fractional",
+        delta={"x": [delta_term("(n - i)/2", ("x", "i"), ("x", "n - i"), sum_upper=0),
+                     delta_term("n^2/3", ("x", 0), ("x", "n"), guard=Guard.mod(2, 1))]},
+        coderivation={"x": [deriv_term("(n + 2)/3", ("x", "n + 1"))]},
+    )
+    return [(spec, 40)]
+
+
+# The structure-scan benchmark's windows for example1 and example4.
+BUILTIN_WINDOWS = {"example1": 300, "example4": 70}
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("source", ["builtins", "structure-scan", "fractional"])
+    def test_matches_the_fraction_loop(self, specs, source):
+        if source == "builtins":
+            cases = [(spec, BUILTIN_WINDOWS.get(name, 32)) for name, spec in specs.items()]
+        else:
+            cases = structure_scan_specs() if source == "structure-scan" else fractional_specs()
+        kinds_seen = set()
+        for spec, window in cases:
+            for label in spec.labels_upto(window):
+                kinds = [("delta", delta, reference_delta)]
+                if spec.differential and (spec.coderivation_max_index is None
+                                          or label.index <= spec.coderivation_max_index):
+                    kinds.append(("d", d_label, reference_d_label))
+                for kind, evaluate, reference in kinds:
+                    value = evaluate(spec, label)
+                    assert value == reference(spec, label), (spec.name, label)
+                    table = _int_terms(spec, kind, label)
+                    assert table == tuple(value.items())
+                    for _, c in table:
+                        assert type(c) is (int if c.denominator == 1 else Fraction)
+                        kinds_seen.add((kind, type(c)))
+        if source == "fractional":
+            assert len(kinds_seen) == 4
+
+    def test_exact_guards_are_indexed(self):
+        # graded-dual's transposed coderivation is one exact-guard term
+        # per index: the compiled rule of a label holds only its own.
+        spec = graded_dual(builtin("fx-diff-algebra", horizon=48), horizon=48)
+        assert d_label(spec, spec.label("x", 7)) == reference_d_label(spec, spec.label("x", 7))
+        plain, exact, modular = spec._rules["d"]["x"]
+        assert not plain and not modular
+        assert sorted(exact) == list(range(48))
+        assert all(len(terms) == 1 for terms in exact.values())
+
+    def test_range_error_names_the_label_out_of_range(self):
+        spec = CoalgebraSpec(
+            name="leave",
+            families=(FamilyDecl("x"), FamilyDecl("y", parity=1, hi=2)),
+            delta={"x": [delta_term("n - 3", ("y", "n"), ("y", "n"))],
+                   "y": [delta_term(1, ("x", 0), ("y", "i + 1"), sum_upper=0)]},
+            coderivation={"x": [deriv_term(1, ("y", "n"))]},
+        )
+        for n in range(3):
+            label = spec.label("x", n)
+            assert delta(spec, label) == reference_delta(spec, label)
+            assert d_label(spec, label) == reference_d_label(spec, label)
+        # A zero coefficient builds no label, as in the Fraction loop.
+        assert not delta(spec, spec.label("x", 3))
+        out_of_range = r"^index {} outside range \[0, 2\] of family 'y'$"
+        with pytest.raises(RangeError, match=out_of_range.format(4)):
+            delta(spec, spec.label("x", 4))
+        with pytest.raises(RangeError, match=out_of_range.format(3)):
+            delta(spec, spec.label("y", 2))
+        with pytest.raises(RangeError, match=out_of_range.format(3)):
+            d_label(spec, spec.label("x", 3))
 
 
 class TestCocommutativity:

@@ -7,6 +7,7 @@ from cocheck import (
     builtin,
     delta,
     dumps_spec,
+    graded_dual,
     load_spec,
     loads_spec,
     save_spec,
@@ -168,3 +169,34 @@ def test_guard_round_trip():
     f_entry = next(e for e in data["delta"] if e["family"] == "f")
     guards = [t.get("when") for t in f_entry["terms"]]
     assert {"mod": 3, "rem": 1} in guards
+
+
+def test_repeated_expressions_parse_once_per_load():
+    # graded-dual writes thousands of terms over a few dozen distinct
+    # expressions: one load parses each text once, and a second load
+    # parses again.
+    spec = graded_dual(builtin("fx-diff-algebra", horizon=12), horizon=12)
+    text = dumps_spec(spec)
+    first, second = loads_spec(text), loads_spec(text)
+    assert first.same_rules(spec) and second.same_rules(spec)
+    coeffs = [t.coeff for terms in first.delta.values() for t in terms]
+    assert len(coeffs) > len({id(c) for c in coeffs}) == len(set(coeffs))
+    ones = [t.coeff for loaded in (first, second) for t in loaded.delta["x"]]
+    assert len({id(c) for c in ones}) == 2  # every coefficient is "1"
+    label = first.label("x", 12)
+    assert delta(first, label) == delta(second, label) == delta(spec, label)
+
+
+def test_error_in_a_repeated_expression_names_its_own_path():
+    # "n*n" parses as a coefficient first; as an index it is an error,
+    # cited at the index, not at the coefficient that parsed.
+    term = {"coeff": "n*n", "left": ["u", "n"], "right": ["u", "n"]}
+    bad = {"coeff": "1", "left": ["u", "n"], "right": ["u", "n*n"]}
+    text = json.dumps({
+        "field": "Q",
+        "families": [{"name": "u", "range": [0, None]}],
+        "delta": [{"family": "u", "terms": [term, term, bad]}],
+    })
+    with pytest.raises(SpecFileError) as err:
+        loads_spec(text)
+    assert err.value.key == "$.delta[0].terms[2].right[1]"

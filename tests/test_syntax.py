@@ -1,6 +1,9 @@
 """The two expression languages read back what they print: identities
 (`parse_identity`) and rule expressions (`IndexPoly.parse`,
-`AffineIndex.parse`)."""
+`AffineIndex.parse`); and `IndexPoly.value` agrees with `Fraction`
+arithmetic."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +38,15 @@ def test_identity_round_trip(p):
 @given(indexpoly_st)
 def test_index_polynomial_round_trip(q):
     assert IndexPoly.parse(str(q)) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexpoly_st, st.integers(-40, 400), st.integers(-40, 400))
+def test_integer_kernel_matches_fraction_evaluation(q, n, i):
+    expected = sum((c * n**dn * i**di for (dn, di), c in q.coeffs), Fraction(0))
+    value = q.value(n, i)
+    assert value == q.evaluate(n, i) == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
 
 
 @settings(max_examples=80, deadline=None)
