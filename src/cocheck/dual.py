@@ -16,18 +16,36 @@ labels instead of a scan of its window.  The table holds integral
 coefficients as `int`; `dual_product` multiplies them into `Fraction`s,
 so its results stay `Fraction`-valued.
 
-`bruteforce_identity` runs the |labels|^arity tuples as a loop nest over
-the slots (`DualEvaluator.nonzero_residuals`): each subtree of the identity
-is evaluated in the loop of its last slot, once per prefix or through a
-memo keyed by label positions, on plain dicts with `int` coefficients
-where they are integral.  Every product of the nest keeps the labels of
-the one validated window, and the top-level products of a tuple go
-straight into one residual dict.  Only a tuple whose residual is nonzero
-is evaluated again, by `DualEvaluator.polynomial` through the unmemoized
-`dual_product` and `dual_derivation` in `Fraction`s, to build its witness.
+`bruteforce_identity` covers the |labels|^arity tuples with a loop nest
+over the slots (`DualEvaluator.nonzero_residuals`): each subtree of the
+identity is evaluated in the loop of its last slot, once per prefix or
+through a memo keyed by label positions, on plain dicts with `int`
+coefficients where they are integral.  Every product of the nest keeps
+the labels of the one validated window, and the top-level products of a
+tuple go straight into one residual dict.
+
+The nest runs one tuple per orbit of the identity's slot symmetries.
+`slot_classes` puts two slots in one class when swapping them leaves the
+identity unchanged as an `NAPoly`; it reads the identity alone, never
+its coidentity translation.  Each slot's loop starts at the position of
+the previous slot of its class, so only class-sorted tuples are
+evaluated: n C(n+2, 3) of the n^4 for Jordan, symmetric in slots 1-3.
+The nest evaluates identities ungraded (a signature with an odd slot is
+refused), so permuting the functionals within a class leaves p's value
+unchanged, and the residual of a sorted tuple is also the residual of
+each arrangement of its orbit.  The sorted tuple is the least of its
+orbit in `itertools.product` order, so the other arrangements wait on a
+heap keyed by their label positions and are yielded as the nest passes
+them: the tuples come out in `itertools.product` order, as from the full
+nest.  Only a tuple whose residual is nonzero is evaluated again, by
+`DualEvaluator.polynomial` on its own functionals through the unmemoized
+`dual_product` and `dual_derivation` in `Fraction`s, to build its
+witness; the rebuild must agree, which checks the symmetry afresh on
+every reported tuple.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -44,8 +62,8 @@ from .coalgebra import (
     scan,
     validate_shift_bound,
 )
-from .errors import ShiftBoundError, SpecError
-from .identities import Leaf, NAPoly
+from .errors import EngineError, ShiftBoundError, SpecError
+from .identities import Leaf, NAPoly, substitute_slots
 from .linalg import FormalVector, accumulate, integral
 
 _ZERO = FormalVector()
@@ -192,8 +210,8 @@ def _compile(p: NAPoly):
 class DualEvaluator:
     """Evaluates identities on functionals, on one validated window.
 
-    `nonzero_residuals` runs the distinct subtrees of an identity over
-    every tuple of a label list as a loop nest over the slots, in
+    `nonzero_residuals` runs the distinct subtrees of an identity over the
+    tuples of a label list as a loop nest over the slots, an odometer in
     `itertools.product` order.  A subtree is evaluated inside the loop of
     its last slot: once per prefix when it reads a prefix of the slots,
     and otherwise through a memo keyed by the label positions at its
@@ -202,6 +220,16 @@ class DualEvaluator:
     with integral coefficients held as `int`; every product keeps the
     labels of the one validated window, and the top-level products of a
     tuple are summed straight into its residual.
+
+    The odometer visits class-sorted tuples only: a slot's loop starts at
+    the position of the previous slot of its class (`slot_classes`).  The
+    residual of a sorted tuple stands for every arrangement of its orbit,
+    since the nest evaluates ungraded.  The other arrangements of a
+    nonzero orbit go onto a heap keyed by their positions, and each is
+    yielded once the odometer has passed it, before the next sorted tuple;
+    the heap is drained at the end, and before an error raised inside the
+    nest.  With singleton classes no loop is skipped and the heap stays
+    empty.
 
     `product`, `derivative` and `polynomial` keep no memo: they call
     `dual_product` and `dual_derivation`, in `Fraction`s throughout.
@@ -239,6 +267,8 @@ class DualEvaluator:
         every tuple of `labels`, one per slot, on whose coordinate
         functionals p is nonzero; the residual is p's value there, as a
         label -> coefficient dict with integral coefficients as `int`.
+        The tuples of one orbit share one residual dict: read it, do not
+        change it.
         """
         leaves, products, terms = _compile(p)
         arity, window, n = p.arity, self.window, len(labels)
@@ -250,6 +280,17 @@ class DualEvaluator:
         # would, and still drops the table entries past it that unvalidated
         # products left behind.
         hits = _transposed_delta(self.spec, window)
+        # Only class-sorted tuples run: each slot's loop starts at the
+        # position of the previous slot of its class, if any.
+        classes = [[slot - 1 for slot in cls] for cls in slot_classes(p)]
+        previous: list = [None] * arity
+        for cls in classes:
+            for a, b in zip(cls, cls[1:]):
+                previous[b] = a
+        movable = [cls for cls in classes if len(cls) > 1]
+        # The other arrangements of each nonzero orbit, keyed by their
+        # positions, wait here until the nest passes them.
+        heap: list = []
         # Per slot, its leaves' values by label position; a derivative
         # is filled in on first use, so its errors surface in tuple order.
         set_leaves: list = [[] for _ in range(arity)]
@@ -298,7 +339,6 @@ class DualEvaluator:
         while d >= 0:
             i = pos[d] = pos[d] + 1
             if i == n:
-                pos[d] = -1
                 d -= 1
                 continue
             for cache in clears[d]:
@@ -306,7 +346,13 @@ class DualEvaluator:
             for at, order, table in set_leaves[d]:
                 value = table[i]
                 if value is _UNSET:
-                    f = self.derivative(FormalVector.unit(labels[i]), order)
+                    try:
+                        f = self.derivative(FormalVector.unit(labels[i]), order)
+                    except EngineError:
+                        # The full nest would have yielded every tuple
+                        # before this prefix first.
+                        yield from _pop_before(heap, tuple(pos[:d + 1]), labels)
+                        raise
                     value = table[i] = {k: integral(c) for k, c in f.items()} or None
                 values[at] = value
             for at, left, right, memo in steps[d]:
@@ -321,20 +367,86 @@ class DualEvaluator:
                 values[at] = value
             if d < last:
                 d += 1
+                pos[d] = -1 if previous[d] is None else pos[previous[d]] - 1
                 continue
-            residual: dict = {}
-            for coeff, left, right in tops:
-                a = values[left]
-                if a is None:
-                    continue
-                if right is None:
-                    accumulate(residual, ((k, coeff * c) for k, c in a.items()))
-                    continue
-                b = values[right]
-                if b is not None:
-                    accumulate(residual, _product_terms(hits, window, a, b, coeff))
+            residual = _residual(tops, values, hits, window)
             if residual:
-                yield tuple(labels[j] for j in pos), residual
+                at = tuple(pos)
+                yield from _pop_before(heap, at, labels)
+                yield tuple(labels[j] for j in at), residual
+                for other in _arrangements(at, movable):
+                    heapq.heappush(heap, (other, residual))
+        yield from _pop_before(heap, (n,), labels)
+
+
+def slot_classes(p: NAPoly) -> tuple:
+    """The slots 1..arity of p grouped into classes of interchangeable
+    slots, each class and the tuple of them in slot order.
+
+    Slot a joins the class of slot b when `substitute_slots(p, {a: b,
+    b: a})` equals p as an `NAPoly`.  A slot is tried against the first
+    slot of each class only: the swaps of a class's first slot with each
+    other member generate every permutation of the class, and if a swaps
+    with some member it swaps with the first.  The classes are read off p
+    alone, never off its coidentity translation, so the oracle stays
+    independent of the translation it checks.
+
+    The signature is ignored.  That is sound because the nest evaluates
+    identities ungraded and `bruteforce_identity` refuses a signature with
+    an odd slot.  A graded nest (ROADMAP item 2) may let only even slots
+    join a class: swapping odd slots carries a Koszul sign.
+    """
+    plain = substitute_slots(p, {})
+    classes: list = []
+    for a in range(1, p.arity + 1):
+        for cls in classes:
+            b = cls[0]
+            if substitute_slots(p, {a: b, b: a}) == plain:
+                cls.append(a)
+                break
+        else:
+            classes.append([a])
+    return tuple(map(tuple, classes))
+
+
+def _residual(tops, values, hits, window) -> dict:
+    """One tuple's residual: the top-level products of its monomials,
+    each scaled by its coefficient, summed into one dict."""
+    residual: dict = {}
+    for coeff, left, right in tops:
+        a = values[left]
+        if a is None:
+            continue
+        if right is None:
+            accumulate(residual, ((k, coeff * c) for k, c in a.items()))
+            continue
+        b = values[right]
+        if b is not None:
+            accumulate(residual, _product_terms(hits, window, a, b, coeff))
+    return residual
+
+
+def _arrangements(at: tuple, classes: list):
+    """The distinct position tuples other than `at` that permute its
+    positions within each class of slots."""
+    for choice in itertools.product(
+        *(set(itertools.permutations([at[slot] for slot in cls])) for cls in classes)
+    ):
+        other = list(at)
+        for cls, image in zip(classes, choice):
+            for slot, i in zip(cls, image):
+                other[slot] = i
+        other = tuple(other)
+        if other != at:
+            yield other
+
+
+def _pop_before(heap: list, at: tuple, labels: list):
+    """Pop and yield, in order, the (tuple, residual) entries of `heap`
+    whose positions come before `at`, a position tuple or prefix."""
+    while heap and heap[0][0] < at:
+        other, residual = heapq.heappop(heap)
+        yield tuple(labels[j] for j in other), residual
 
 
 def bruteforce_identity(

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from cocheck import (
     CoalgebraSpec,
@@ -21,11 +23,13 @@ from cocheck import (
     dual_product,
     grassmann_envelope_check,
 )
+from cocheck import dual
 from cocheck.coalgebra import MAX_WITNESSES
-from cocheck.dual import DualEvaluator
+from cocheck.dual import DualEvaluator, slot_classes
 from cocheck.identities import Leaf, requires_coderivation
 from cocheck.identlang import parse_identity
 from cocheck.rules import Guard, delta_term
+from conftest import symmetrized_st
 
 UNGRADED = ["example1", "example2", "example3", "example4",
             "example5", "example6", "example9"]
@@ -253,8 +257,24 @@ def naive_failures(spec, p, bound, limit=None):
     return out
 
 
+def render(tup):
+    return "(" + ", ".join(f"xi_{l}" for l in tup) + ")"
+
+
 def witness_strings(failures):
-    return ["(" + ", ".join(f"xi_{l}" for l in tup) + f"): {r}" for tup, r in failures]
+    return [f"{render(tup)}: {r}" for tup, r in failures]
+
+
+def nest_evaluator(spec, p, bound):
+    """A DualEvaluator on the window `bruteforce_identity` uses for p."""
+    depth = max(v.deriv for _, m in p.terms for v in m.leaves()) + 1
+    return DualEvaluator(spec, p.arity * (bound + depth * spec.shift_bound) + spec.shift_bound)
+
+
+def nest_failures(spec, p, bound):
+    """The loop nest's (tuple, residual) list, residuals as FormalVectors."""
+    found = nest_evaluator(spec, p, bound).nonzero_residuals(p, spec.labels_upto(bound))
+    return [(tup, FormalVector(r)) for tup, r in found]
 
 
 def half_spec():
@@ -314,11 +334,8 @@ class TestSubtreeMemo:
         report = bruteforce_identity(spec, p, bound)
         assert report.passed == (not naive)
         assert [str(w) for w in report.witnesses] == witness_strings(naive[:MAX_WITNESSES])
-        depth = max(v.deriv for _, m in p.terms for v in m.leaves()) + 1
-        window = p.arity * (bound + depth * spec.shift_bound) + spec.shift_bound
-        evaluator = DualEvaluator(spec, window)
-        found = evaluator.nonzero_residuals(p, spec.labels_upto(bound))
-        assert [(tup, FormalVector(r)) for tup, r in found] == naive
+        assert nest_failures(spec, p, bound) == naive
+        evaluator = nest_evaluator(spec, p, bound)
         for tup, r in naive:
             rebuilt = evaluator.polynomial(p, [FormalVector.unit(l) for l in tup])
             assert rebuilt == r
@@ -369,6 +386,113 @@ class TestSubtreeMemo:
             failures = naive_failures(spec, p, 3)
             assert any(c.denominator > 1 for _, r in failures for _, c in r.items())
 
+
+@pytest.fixture(scope="module")
+def orbit_specs():
+    return [builtin(name) for name in ("example1", "example4", "example6")]
+
+
+class TestSlotOrbits:
+    @pytest.mark.parametrize("identity, classes", [
+        ("jordan-linearized", ((1, 2, 3), (4,))),
+        ("moufang-linearized", ((1,), (2, 3), (4,))),
+        ("right-alternativity-linearized", ((1,), (2, 3))),
+        ("anticommutativity", ((1, 2),)),
+        # Swapping the slots negates it: antisymmetric, not symmetric.
+        ("commutativity", ((1,), (2,))),
+        ("(x1' x2) + (x2' x1)", ((1, 2),)),
+        ("(x1' x2) + (x1 x2')", ((1,), (2,))),
+        ("((x1 x2) x3) + ((x3 x2) x1)", ((1, 3), (2,))),
+    ])
+    def test_slot_classes(self, cat, identity, classes):
+        p = cat[identity] if identity in cat else parse_identity(identity)
+        assert slot_classes(p) == classes
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetrized_st())
+    def test_orbit_nest_matches_naive_evaluator(self, orbit_specs, case):
+        # The same tuples, in the same order, with equal residuals, as
+        # evaluating every tuple afresh.
+        p, classes = case
+        found = {s: set(cls) for cls in slot_classes(p) for s in cls}
+        assert all(found[c[0]] >= set(c) for c in classes)
+        for spec in orbit_specs:
+            if requires_coderivation(p) and not spec.differential:
+                continue
+            assert nest_failures(spec, p, 2) == naive_failures(spec, p, 2), (spec.name, str(p))
+
+    def test_jordan_runs_one_tuple_per_orbit(self, cat, monkeypatch):
+        # Jordan is symmetric in slots 1, 2 and 3, so only the tuples
+        # with sorted positions there are evaluated: n C(n+2, 3), not n^4.
+        counted = []
+        residual = dual._residual
+
+        def counting(*args):
+            counted.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(dual, "_residual", counting)
+        spec = builtin("example6")
+        assert bruteforce_identity(spec, cat["jordan-linearized"], 4).passed
+        n = len(spec.labels_upto(4))
+        assert len(counted) == n * math.comb(n + 2, 3) == 175 < n ** 4
+
+    @pytest.mark.parametrize("name, identity, subjects, merged", [
+        ("example2", "(x1 (x2 x3)) + (x1 (x3 x2))",
+         ["(xi_e:0, xi_e:0, xi_f:3)", "(xi_e:0, xi_f:3, xi_e:0)"],
+         ["(xi_e:0, xi_f:3, xi_e:0)"]),
+        ("example3", "((x1 x3) x2) + ((x2 x3) x1)",
+         ["(xi_e:0, xi_e:0, xi_f:3)", "(xi_e:0, xi_f:3, xi_e:0)", "(xi_f:3, xi_e:0, xi_e:0)"],
+         ["(xi_f:3, xi_e:0, xi_e:0)"]),
+    ])
+    def test_witness_order_across_orbits(self, name, identity, subjects, merged, monkeypatch):
+        # The witnesses keep tuple order, and the unsorted ones come out
+        # of the heap of arrangements, not out of the nest.
+        popped = []
+        pop_before = dual._pop_before
+
+        def recording(*args):
+            for found in pop_before(*args):
+                popped.append(render(found[0]))
+                yield found
+
+        monkeypatch.setattr(dual, "_pop_before", recording)
+        report = bruteforce_identity(builtin(name), parse_identity(identity), 3)
+        assert [w.subject for w in report.witnesses] == subjects
+        assert popped == merged
+
+    def test_an_error_in_the_nest_comes_after_every_earlier_tuple(self):
+        # example6's products with example4's coderivation, cut off at
+        # index 3, so the derivative of slot 1 fails at x:3.  Slots 2 and
+        # 3 form a class, and x:3 x:3 = 0, so when the nest reaches x:3
+        # in slot 1 the arrangements (x:2, x:3, x:k) still wait in the
+        # heap.  They come out before the error, as evaluating every
+        # tuple would give them.
+        spec = dataclasses.replace(
+            builtin("example6"),
+            coderivation=builtin("example4").coderivation,
+            coderivation_max_index=3,
+        )
+        p = parse_identity("((x2 x1') x3) + ((x3 x1') x2)")
+
+        def until_error(found):
+            out = []
+            with pytest.raises(SpecError) as info:
+                for tup, r in found:
+                    if r:
+                        out.append((tup, r))
+            return out, str(info.value)
+
+        labels = spec.labels_upto(3)
+        expected = until_error(
+            (tup, naive_polynomial(spec, p, [FormalVector.unit(l) for l in tup]))
+            for tup in itertools.product(labels, repeat=3)
+        )
+        assert [render(tup) for tup, _ in expected[0][-3:]] == [
+            "(xi_x:2, xi_x:3, xi_x:0)", "(xi_x:2, xi_x:3, xi_x:1)", "(xi_x:2, xi_x:3, xi_x:2)"]
+        assert "up to index 4" in expected[1]
+        nest = nest_evaluator(spec, p, 3).nonzero_residuals(p, labels)
+        assert until_error((tup, FormalVector(r)) for tup, r in nest) == expected
 
 class TestKantorProducts:
     def test_bar_products_match_vector_type_formula(self, ex1):

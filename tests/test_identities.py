@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,9 +24,9 @@ from cocheck.catalog import list_examples
 from cocheck.coalgebra import d_label
 from cocheck.dual import coordinate_functional
 from cocheck.identities import (
-    CODERIVATION, Leaf, NAPoly, Node, _apply_step, requires_coderivation, substitute_slots,
+    CODERIVATION, _apply_step, requires_coderivation, substitute_slots,
 )
-from test_syntax import coeff_st, monomial_st
+from conftest import symmetrized_st
 
 # Graded variants of the catalog checked beside the plain identities.
 SIGNATURES = {
@@ -319,37 +318,6 @@ class TestSlotClasses:
             assert failing, spec.name
             for label in failing:
                 assert cmap.apply(spec, label) == naive_apply(cmap, spec, label)
-
-
-def _multilinear(mono, slots, keep_derivs):
-    """The tree of mono with its leaves, in order, on the next of `slots`."""
-    if isinstance(mono, Leaf):
-        return var(next(slots), mono.var.deriv if keep_derivs else 0)
-    return Node(_multilinear(mono.left, slots, keep_derivs),
-                _multilinear(mono.right, slots, keep_derivs))
-
-
-@st.composite
-def symmetrized_st(draw):
-    """A random multilinear identity summed over a random Young subgroup
-    of its slots, so that translate finds nontrivial slot classes."""
-    first = draw(monomial_st.filter(lambda m: len(m.leaves()) >= 2))
-    k = len(first.leaves())
-    keep_derivs = draw(st.booleans())
-    shapes = [first] + draw(st.lists(
-        monomial_st.filter(lambda m: len(m.leaves()) == k), max_size=2))
-    terms = [
-        (draw(coeff_st), _multilinear(shape, iter(draw(st.permutations(range(1, k + 1)))),
-                                      keep_derivs))
-        for shape in shapes
-    ]
-    blocks = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-    classes = [[s for s in range(1, k + 1) if blocks[s - 1] == b] for b in set(blocks)]
-    p = NAPoly([], arity=k)
-    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
-        mapping = {s: t for c, image in zip(classes, images) for s, t in zip(c, image)}
-        p = p + substitute_slots(NAPoly(terms), mapping)
-    return p.with_signature("e" * k) if draw(st.booleans()) else p, classes
 
 
 @settings(max_examples=30, deadline=None)
