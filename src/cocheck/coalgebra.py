@@ -7,11 +7,13 @@ never claims unbounded verification.
 
 `delta` and `d_label` are the rule evaluators.  On a label's first call
 they run its family's compiled rule (`_rule`) once in integer
-arithmetic, keep the result on the spec as a sorted term table with
-integral coefficients as `int`, and cache and return a `Fraction` view
-of that table.  The coidentity plan, the dual oracle's transposed delta
-and `validate_shift_bound` read the table through `_int_terms`, which
-calls the evaluator on a miss.
+arithmetic and keep the result on the spec as a sorted term table with
+integral coefficients as `int`.  The coidentity plan, the dual oracle's
+transposed delta and `validate_shift_bound` read that table through
+`_int_terms`, which calls the evaluator on a miss and asks it for the
+table alone.  The `Fraction` view a caller of `delta` or `d_label` gets
+is built from the table the first time it is asked for, and cached; a
+label only the plan reads never gets one.
 """
 from __future__ import annotations
 
@@ -150,9 +152,10 @@ class CoalgebraSpec:
         # Rule evaluation, step kind -> label -> ((key, c), ...) sorted,
         # with integral coefficients as int: the one term table, filled
         # by `delta` and `d_label` and read through `_int_terms`.  The
-        # two caches below hold its `Fraction` view.  `_rules` holds each
-        # family's rule compiled on first use and `_labels` the labels
-        # it has built, family -> index -> label (see `_rule`).
+        # two caches below hold its `Fraction` views, built on demand.
+        # `_rules` holds each family's rule compiled on first use and
+        # `_labels` the labels it has built, family -> index -> label
+        # (see `_rule`).
         object.__setattr__(self, "_int_cache", {"delta": {}, "d": {}})
         object.__setattr__(self, "_delta_cache", {})
         object.__setattr__(self, "_d_cache", {})
@@ -246,17 +249,26 @@ def _nonempty(rule: Mapping[str, tuple]) -> dict:
     return {fam: terms for fam, terms in rule.items() if terms}
 
 
-def delta(spec: CoalgebraSpec, label: BasisLabel) -> FormalTensor:
-    """Evaluate the comultiplication rule on one basis label."""
-    cached = spec._delta_cache.get(label)
+def delta(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> FormalTensor:
+    """Evaluate the comultiplication rule on one basis label.
+
+    `_table` (for `_int_terms`) returns the integer term table instead
+    and builds no `Fraction` view."""
+    cached = None if _table else spec._delta_cache.get(label)
     if cached is not None:
         return cached
-    decl = spec.family(label.family)
-    if not decl.contains(label.index):
-        raise RangeError(f"label {label} outside declared range {decl.range_str()}")
-    n = label.index
-    acc = accumulate({}, _delta_items(spec, _rule(spec, "delta", label.family, n), n))
-    result = FormalTensor._merged(2, _tabulate(spec._int_cache["delta"], label, acc))
+    tables = spec._int_cache["delta"]
+    table = tables.get(label)
+    if table is None:
+        decl = spec.family(label.family)
+        if not decl.contains(label.index):
+            raise RangeError(f"label {label} outside declared range {decl.range_str()}")
+        n = label.index
+        terms = _rule(spec, "delta", label.family, n)
+        table = tables[label] = _tabulate(_delta_items(spec, terms, n))
+    if _table:
+        return table
+    result = FormalTensor._merged(2, _fraction_view(table), ordered=True)
     spec._delta_cache[label] = result
     return result
 
@@ -291,24 +303,31 @@ def delta_linear(spec: CoalgebraSpec, v: FormalVector) -> FormalTensor:
     return FormalTensor._merged(2, out)
 
 
-def d_label(spec: CoalgebraSpec, label: BasisLabel) -> FormalVector:
-    """Evaluate the coderivation rule on one basis label."""
+def d_label(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> FormalVector:
+    """Evaluate the coderivation rule on one basis label; `_table` as
+    for `delta`."""
     if not spec.differential:
         raise SpecError(f"spec {spec.name!r} has no coderivation")
-    cached = spec._d_cache.get(label)
+    cached = None if _table else spec._d_cache.get(label)
     if cached is not None:
         return cached
-    if (
-        spec.coderivation_max_index is not None
-        and label.index > spec.coderivation_max_index
-    ):
-        raise RangeError(
-            f"coderivation of {spec.name!r} is only defined up to index "
-            f"{spec.coderivation_max_index}, got {label}"
-        )
-    n = label.index
-    acc = accumulate({}, _d_items(spec, _rule(spec, "d", label.family, n), n))
-    result = FormalVector._merged(_tabulate(spec._int_cache["d"], label, acc))
+    tables = spec._int_cache["d"]
+    table = tables.get(label)
+    if table is None:
+        if (
+            spec.coderivation_max_index is not None
+            and label.index > spec.coderivation_max_index
+        ):
+            raise RangeError(
+                f"coderivation of {spec.name!r} is only defined up to index "
+                f"{spec.coderivation_max_index}, got {label}"
+            )
+        n = label.index
+        terms = _rule(spec, "d", label.family, n)
+        table = tables[label] = _tabulate(_d_items(spec, terms, n))
+    if _table:
+        return table
+    result = FormalVector._merged(_fraction_view(table), ordered=True)
     spec._d_cache[label] = result
     return result
 
@@ -366,24 +385,27 @@ def _target(spec: CoalgebraSpec, family: str, index) -> tuple:
     return (family, index.n, index.i, index.const, row)
 
 
-def _tabulate(cache: dict, label, acc: dict) -> dict:
-    """Store the merged terms `acc` as `label`'s integer table in `cache`,
-    sorted; return its `Fraction` view, which shares one `Fraction` per
-    distinct coefficient (most rules have a handful), so the view costs
-    few allocations."""
-    table = cache[label] = tuple(sorted(acc.items()))
-    fractions = {c: Fraction(c) for c in set(acc.values())}
+def _tabulate(items) -> tuple:
+    """The integer term table of the (key, c) terms `items`: merged by
+    `accumulate` and sorted by key."""
+    return tuple(sorted(accumulate({}, items).items()))
+
+
+def _fraction_view(table: tuple) -> dict:
+    """The terms of an integer term table as a sorted dict of `Fraction`s,
+    one `Fraction` per distinct coefficient (most rules have a handful),
+    so the view costs few allocations."""
+    fractions = {c: Fraction(c) for c in {c for _, c in table}}
     return {key: fractions[c] for key, c in table}
 
 
 def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
     """The terms of delta(spec, label) or d_label(spec, label) as
     ((key, c), ...), integral coefficients as int: the table that rule
-    evaluation fills beside its `Fraction` view."""
+    evaluation fills, without its `Fraction` view."""
     table = spec._int_cache[kind].get(label)
     if table is None:
-        (delta if kind == "delta" else d_label)(spec, label)
-        table = spec._int_cache[kind][label]
+        table = (delta if kind == "delta" else d_label)(spec, label, _table=True)
     return table
 
 

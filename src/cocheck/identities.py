@@ -14,11 +14,14 @@ their comultiplication and coderivation steps, keyed by the full step,
 whose nodes carry tail groups, the branches ending there grouped by
 their trailing permutation and projection with summed coefficients.
 `apply` walks the trie depth first, so a prefix shared by many branches
-is computed once per label.  Inside the walk integral coefficients are
-plain `int`s, read from the spec's integer term table, which rule
-evaluation fills (`coalgebra._int_terms`); the result is all `Fraction`
-again.  The coderivation law is one more such
-map, `CODERIVATION`.
+is computed once per label.  Every delta and d step runs one kernel,
+`_rule_terms`: it reads each label's terms from the spec's integer term
+table, which rule evaluation fills (`coalgebra._int_terms`), so inside
+the walk integral coefficients are plain `int`s; the result is all
+`Fraction` again.  An inner node's step is merged into a dict for its
+children, but a leaf's step streams its terms straight into the node's
+tail groups, with no intermediate dict.  The coderivation law is one
+more such map, `CODERIVATION`.
 
 Orbit sums: the linearized identities (Jordan, Moufang, right
 alternativity) are unchanged by swaps of the slots of a linearized
@@ -289,7 +292,9 @@ class CoidentityMap:
     its tail groups: the branches that end there, grouped by their
     trailing permute and project steps, with their coefficients summed.
     A depth-first walk computes every shared prefix once per label and
-    runs each tail group as one loop over its terms.
+    runs each tail group as one loop over its terms.  A leaf's step is
+    not merged first: its terms stream straight into its tail groups,
+    through one list when the leaf has more than one group.
 
     `classes` are the slot classes, computed from the plan (sorted tuples
     of slots 1..arity, ordered by their first slot): slots a and b share
@@ -386,14 +391,24 @@ class CoidentityMap:
 
     def _walk(self, spec, node, t: dict, prune: bool, sums: dict) -> None:
         children, tails = node
+        self._run_tails(tails, t.items(), sums)
+        for step, child in children:
+            grandchildren, child_tails = child
+            if grandchildren or step[0] not in _RULE_STEPS:
+                u = _apply_step(spec, t, step, prune)
+                if u:
+                    self._walk(spec, child, u, prune, sums)
+                continue
+            # A leaf: its step's terms go straight into its tail groups.
+            terms = _rule_terms(spec, t, step, prune)
+            self._run_tails(child_tails, list(terms) if len(child_tails) > 1 else terms, sums)
+
+    def _run_tails(self, tails, items, sums: dict) -> None:
+        """Sum the (key, c) pairs `items` into the orbit sums of each tail group."""
         for permute, project, coeff in tails:
             take, pairs, signs = self._tails[permute]
-            permute_terms(t.items(), take, pairs, sums.setdefault(project, {}), coeff,
+            permute_terms(items, take, pairs, sums.setdefault(project, {}), coeff,
                           self._canon, signs)
-        for step, child in children:
-            u = _apply_step(spec, t, step, prune)
-            if u:
-                self._walk(spec, child, u, prune, sums)
 
     def _expand(self, sums: dict):
         """The (key, coefficient) pairs of the full result: every key k of
@@ -440,6 +455,9 @@ def _step_name(step) -> str:
     return f"{step[0]}@{step[1]}"
 
 
+_RULE_STEPS = ("delta", "d")
+
+
 def _apply_step(spec, t: dict, step, prune: bool) -> dict:
     kind = step[0]
     if kind == "permute":
@@ -451,24 +469,37 @@ def _apply_step(spec, t: dict, step, prune: bool) -> dict:
             for key, c in t.items()
             if all(p is None or key[j].parity == p for j, p in enumerate(sig))
         }
-    pos = step[1] - 1
-    if kind == "delta":
-        lreq, rreq = (step[2], step[3]) if prune else (None, None)
-        return accumulate({}, (
-            (key[:pos] + lr + key[pos + 1 :], c * c2)
-            for key, c in t.items()
-            for lr, c2 in _int_terms(spec, "delta", key[pos])
-            if (lreq is None or lr[0].parity == lreq) and (rreq is None or lr[1].parity == rreq)
-        ))
-    if kind == "d":
-        req = step[2] if prune else None
-        return accumulate({}, (
-            (key[:pos] + (m,) + key[pos + 1 :], c * c2)
-            for key, c in t.items()
-            for m, c2 in _int_terms(spec, "d", key[pos])
-            if req is None or m.parity == req
-        ))
+    if kind in _RULE_STEPS:
+        return accumulate({}, _rule_terms(spec, t, step, prune))
     raise SpecError(f"unknown coidentity step {step!r}")
+
+
+def _rule_terms(spec, t: dict, step, prune: bool):
+    """The (key, c) pairs, unmerged, of a delta or d step on the terms
+    of `t`: the factor at the step's position replaced by each term of
+    its integer table, coefficients multiplied.
+
+    Each term looks its label up in the spec's term table, and goes
+    through `_int_terms` only on a miss.  With `prune`, the step's parity
+    requirements that are not None filter a label's table once per
+    step, into a table of its own."""
+    kind, pos = step[0], step[1] - 1
+    d = kind == "d"
+    reqs = [(j, r) for j, r in enumerate(step[2:]) if r is not None] if prune else []
+    cache = spec._int_cache[kind]
+    tables = {} if reqs else cache
+    for key, c in t.items():
+        label = key[pos]
+        table = tables.get(label)
+        if table is None:
+            table = cache.get(label) or _int_terms(spec, kind, label)
+            if reqs:
+                table = [(piece, c2) for piece, c2 in table
+                         if all((piece if d else piece[j]).parity == r for j, r in reqs)]
+            tables[label] = table
+        head, tail = key[:pos], key[pos + 1:]
+        for piece, c2 in table:
+            yield head + ((piece,) if d else piece) + tail, c * c2
 
 
 def _block_requirement(mono: Monomial, sig) -> Optional[int]:

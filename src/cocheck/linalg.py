@@ -8,11 +8,15 @@ tests and memoization safe.
 
 Every sparse sum in the engine, from vector addition to the coidentity
 steps and the Grassmann envelope products, is merged by `accumulate`,
-the single place that adds coefficients into a dict and drops the zeros;
-`permute_terms` inlines it, fused with a reordering of the keys.
-Results that are already merged are wrapped by the private `_merged`
-constructors, which only sort.  Likewise `koszul_sign` is the single
-place that computes the Koszul sign of a reordering.
+the single place that adds coefficients into a dict and drops the zeros.
+One loop inlines its adding: `permute_terms`, fused with a reordering of
+the keys.  It is the loop of every tail group of the coidentity plan
+(`CoidentityMap._run_tails`), and the plan's leaf steps stream their
+unmerged terms straight into it.  Results that are already merged are
+wrapped by the private `_merged` constructors, which only sort, and not
+even that for the sorted term table of rule evaluation.  Likewise
+`koszul_sign` is the single place that computes the Koszul sign of a
+reordering.
 
 `BasisLabel` is a `typing.NamedTuple`, so labels hash, compare and order
 as the plain tuple `(family, index, parity)`.  That keeps the hot dict
@@ -115,10 +119,11 @@ class FormalVector:
         self._hash = None
 
     @classmethod
-    def _merged(cls, acc: dict) -> "FormalVector":
-        """Wrap a dict already merged by `accumulate`; only sorts it."""
+    def _merged(cls, acc: dict, ordered: bool = False) -> "FormalVector":
+        """Wrap a dict already merged by `accumulate`; only sorts it,
+        and not even that when it is `ordered` by key already."""
         self = cls.__new__(cls)
-        self._terms = _sorted(acc)
+        self._terms = acc if ordered else _sorted(acc)
         self._hash = None
         return self
 
@@ -213,12 +218,12 @@ class FormalTensor:
         self._hash = None
 
     @classmethod
-    def _merged(cls, arity: int, acc: dict) -> "FormalTensor":
+    def _merged(cls, arity: int, acc: dict, ordered: bool = False) -> "FormalTensor":
         """Wrap a dict of arity-`arity` keys already merged by
-        `accumulate`; only sorts it."""
+        `accumulate`; only sorts it, as `FormalVector._merged`."""
         self = cls.__new__(cls)
         self._arity = arity
-        self._terms = _sorted(acc)
+        self._terms = acc if ordered else _sorted(acc)
         self._hash = None
         return self
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cocheck import (
+    BasisLabel,
     CoalgebraSpec,
     FamilyDecl,
     FormalTensor,
@@ -14,6 +15,8 @@ from cocheck import (
     antisymmetrize,
     apply_d,
     builtin,
+    builtin_identities,
+    check_identity,
     cocommutativity_check,
     coderivation_check,
     delta,
@@ -425,6 +428,62 @@ class TestIntegerKernel:
             delta(spec, spec.label("y", 2))
         with pytest.raises(RangeError, match=out_of_range.format(3)):
             d_label(spec, spec.label("x", 3))
+
+
+    def test_fraction_view_is_built_from_the_table_on_demand(self, specs):
+        cases = [(builtin(name), BUILTIN_WINDOWS.get(name, 32)) for name in specs]
+        for spec, window in cases + fractional_specs():
+            labels = spec.labels_upto(window)
+            kinds = [("delta", delta, reference_delta, spec._delta_cache)]
+            if spec.differential:
+                kinds.append(("d", d_label, reference_d_label, spec._d_cache))
+            for kind, evaluate, reference, views in kinds:
+                # The table first: it builds no view.
+                tables = [_int_terms(spec, kind, label) for label in labels]
+                assert not views
+                for label, table in zip(labels, tables):
+                    value = evaluate(spec, label)
+                    assert value == reference(spec, label), (spec.name, label)
+                    assert list(value.items()) == sorted(value.items())
+                    assert all(type(c) is Fraction for _, c in value.items())
+                    assert tuple(value.items()) == table
+                    assert evaluate(spec, label) is value
+
+    def test_the_plan_builds_no_fraction_view(self):
+        ex4, ex6 = builtin("example4"), builtin("example6")
+        assert coderivation_check(ex4, 40).passed
+        assert check_identity(ex6, builtin_identities()["jordan-linearized"], 6).passed
+        for spec in (ex4, ex6):
+            assert spec._int_cache["delta"]
+            assert not spec._delta_cache and not spec._d_cache
+        assert ex4._int_cache["d"]
+
+    def test_errors_keep_their_messages_when_the_table_comes_first(self):
+        spec = CoalgebraSpec(
+            name="leave",
+            families=(FamilyDecl("x"), FamilyDecl("y", parity=1, hi=2)),
+            delta={"x": [delta_term("n - 3", ("y", "n"), ("y", "n"))]},
+            coderivation={"x": [deriv_term(1, ("y", "n"))]},
+        )
+        with pytest.raises(RangeError, match=r"^index 4 outside range \[0, 2\] of family 'y'$"):
+            _int_terms(spec, "delta", spec.label("x", 4))
+        with pytest.raises(RangeError, match=r"^index 3 outside range \[0, 2\] of family 'y'$"):
+            _int_terms(spec, "d", spec.label("x", 3))
+        with pytest.raises(RangeError,
+                           match=r"^label y:3 outside declared range \[0, 2\]$"):
+            _int_terms(spec, "delta", BasisLabel("y", 3, 1))
+        dual = graded_dual(builtin("fx-diff-algebra", horizon=48), horizon=48)
+        with pytest.raises(RangeError, match=(
+                r"^coderivation of 'graded-dual\(fx-diff-algebra\)' is only defined "
+                r"up to index 47, got x:48$")):
+            _int_terms(dual, "d", dual.label("x", 48))
+        ex2 = builtin("example2")
+        with pytest.raises(SpecError, match=r"^spec 'example2' has no coderivation$"):
+            _int_terms(ex2, "d", ex2.label("e", 0))
+        # A failed evaluation leaves no table and no view behind.
+        for s in (spec, dual):
+            assert not s._delta_cache and not s._d_cache
+        assert spec.label("x", 4) not in spec._int_cache["delta"]
 
 
 class TestCocommutativity:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from cocheck import (
     BasisLabel,
     CoalgebraSpec,
     CoidentityMap,
+    FamilyDecl,
     FormalTensor,
     SpecError,
     builtin,
@@ -23,9 +25,8 @@ from cocheck import (
 from cocheck.catalog import list_examples
 from cocheck.coalgebra import d_label
 from cocheck.dual import coordinate_functional
-from cocheck.identities import (
-    CODERIVATION, _apply_step, requires_coderivation, substitute_slots,
-)
+from cocheck.rules import delta_term, deriv_term
+from cocheck.identities import CODERIVATION, requires_coderivation, substitute_slots
 from conftest import symmetrized_st
 
 # Graded variants of the catalog checked beside the plain identities.
@@ -121,14 +122,39 @@ class TestTranslateStructure:
         assert "permute" not in kinds(translate(cat["(xy)z"]))
 
 
+def reference_step(spec, t: dict, step) -> dict:
+    """One step of a coidentity branch on the terms of `t`, over the
+    public `Fraction` views of `delta` and `d_label`: no pruning, and no
+    code shared with the compiled plan's steps."""
+    kind, out = step[0], {}
+    for key, c in t.items():
+        if kind in ("delta", "d"):
+            pos = step[1] - 1
+            if kind == "delta":
+                pieces = delta(spec, key[pos]).items()
+            else:
+                pieces = (((m,), cm) for m, cm in d_label(spec, key[pos]).items())
+            found = [(key[:pos] + piece + key[pos + 1:], c * cp) for piece, cp in pieces]
+        elif kind == "permute":
+            new = tuple(key[j] for j in step[1])
+            odd = sum(new[a].parity * new[b].parity for a, b in step[2])
+            found = [(new, -c if odd % 2 else c)]
+        else:
+            keep = all(p is None or l.parity == p for l, p in zip(key, step[1]))
+            found = [(key, c)] if keep else []
+        for k, ck in found:
+            out[k] = out.get(k, 0) + ck
+    return {k: c for k, c in out.items() if c}
+
+
 def naive_apply(cmap, spec, label):
-    """Every branch from the start, one step at a time: the evaluator the
-    compiled plan replaces."""
+    """Every branch from the start, one `reference_step` at a time: an
+    evaluator independent of the compiled plan."""
     total: dict = {}
     for coeff, steps in cmap.branches:
         t = {(label,): Fraction(1)}
         for step in steps:
-            t = _apply_step(spec, t, step, spec.parity_additive)
+            t = reference_step(spec, t, step)
         for key, c in t.items():
             total[key] = total.get(key, 0) + coeff * c
     return FormalTensor(cmap.arity, total)
@@ -187,6 +213,61 @@ class TestCompiledPlan:
         for label in ex1.labels_upto(6):
             assert not cancelling.apply(ex1, label)
             assert doubled.apply(ex1, label) == naive_apply(doubled, ex1, label)
+
+
+    def test_a_leaf_streams_one_list_into_two_tail_groups(self):
+        # delta@1 - permute[2,1] . delta@1, plain and graded: one leaf
+        # with two tail groups, fed from one list of its streamed terms.
+        split = ("delta", 1, None, None)
+        for graded in (False, True):
+            flip = ("permute", (1, 0), ((0, 1),) if graded else ())
+            cocomm = CoidentityMap(2, ((1, (split,)), (-1, (split, flip))))
+            ((step, (children, tails)),), root_tails = cocomm.plan
+            assert step == split and not root_tails and not children and len(tails) == 2
+            for name in ("example1", "example2", "example4", "example7", "example8"):
+                spec = builtin(name)
+                for label in spec.labels_upto(12):
+                    got = cocomm.apply(spec, label)
+                    t = delta(spec, label)
+                    assert got == naive_apply(cocomm, spec, label) == t - t.flip(1, graded)
+
+    def test_a_leaf_whose_streamed_terms_cancel(self):
+        # delta(x:n) = x:1 (x) x:0 - x:2 (x) x:0 and d(x:k) = x:0, so the
+        # leaf d@1 streams x:0 (x) x:0 twice with opposite signs; its
+        # sibling leaf d@2 keeps both terms.
+        spec = CoalgebraSpec(
+            name="cancel",
+            families=(FamilyDecl("x"),),
+            delta={"x": [delta_term(1, ("x", 1), ("x", 0)),
+                         delta_term(-1, ("x", 2), ("x", 0))]},
+            coderivation={"x": [deriv_term(1, ("x", 0))]},
+        )
+        split = ("delta", 1, None, None)
+        cancelling = CoidentityMap(2, ((1, (split, ("d", 1, None))),))
+        both = CoidentityMap(2, ((1, (split, ("d", 1, None))), (1, (split, ("d", 2, None)))))
+        assert [len(leaf[1]) for _, leaf in both.plan[0][0][1][0]] == [1, 1]
+        x0, x1, x2 = (spec.label("x", k) for k in range(3))
+        for label in spec.labels_upto(12):
+            assert not cancelling.apply(spec, label)
+            assert not naive_apply(cancelling, spec, label)
+            got = both.apply(spec, label)
+            assert got == naive_apply(both, spec, label)
+            assert got == FormalTensor(2, {(x1, x0): 1, (x2, x0): -1})
+
+    @pytest.mark.parametrize("name", ["example1", "example4", "example4-d-unit"])
+    def test_coderivation_plan_matches_the_reference(self, name):
+        if name == "example4-d-unit":
+            # A broken coderivation, so the residuals compared are not 0.
+            spec = dataclasses.replace(builtin("example4"), name=name, coderivation={
+                "x": [deriv_term(1, ("x", "n + 1"))]})
+        else:
+            spec = builtin(name)
+        residuals = 0
+        for label in spec.labels_upto(12):
+            got = CODERIVATION.apply(spec, label)
+            assert got == naive_apply(CODERIVATION, spec, label), label
+            residuals += bool(got)
+        assert residuals == (12 if name == "example4-d-unit" else 0)
 
 
 class TestSlotClasses:
