@@ -268,7 +268,7 @@ def delta(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> Forma
         table = tables[label] = _tabulate(_delta_items(spec, terms, n))
     if _table:
         return table
-    result = FormalTensor._merged(2, _fraction_view(table), ordered=True)
+    result = FormalTensor._merged(_fraction_view(table), ordered=True, arity=2)
     spec._delta_cache[label] = result
     return result
 
@@ -300,7 +300,7 @@ def delta_linear(spec: CoalgebraSpec, v: FormalVector) -> FormalTensor:
     out: dict = {}
     for label, c in v.items():
         accumulate(out, ((key, c * c2) for key, c2 in delta(spec, label).items()))
-    return FormalTensor._merged(2, out)
+    return FormalTensor._merged(out, arity=2)
 
 
 def d_label(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> FormalVector:

@@ -64,7 +64,7 @@ from .coalgebra import (
 )
 from .errors import EngineError, ShiftBoundError, SpecError
 from .identities import Leaf, NAPoly, substitute_slots
-from .linalg import FormalVector, accumulate, integral
+from .linalg import FormalVector, _Combination, _sorted, accumulate, integral
 
 _ZERO = FormalVector()
 
@@ -174,7 +174,7 @@ def dual_derivation(
                 total += c * cf
         if total:
             out[label] = total
-    return FormalVector(out)
+    return FormalVector._merged(out)
 
 
 _UNSET = object()
@@ -499,15 +499,18 @@ def bruteforce_identity(
     )
 
 
-class GrassmannElement:
+class GrassmannElement(_Combination):
     """An element of the Grassmann envelope of the dual superalgebra.
 
     Terms pair a coordinate-functional label with a squarefree monomial
     in the exterior generators, stored as a sorted tuple of generator
-    indices; the parities of label and monomial always match.
+    indices; the constructor checks that the parities of label and
+    monomial match.  Each (label, monomial) pair is one key of arity 1,
+    so the sparse arithmetic (`+`, `-`, `scale`, equality, hashing) is
+    that of `linalg`'s shared combination base.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -518,22 +521,7 @@ class GrassmannElement:
                     f"term {label} (x) {mono} pairs mismatched parities"
                 )
             pairs.append(((label, tuple(mono)), c))
-        acc = accumulate({}, pairs)
-        self._terms = {k: acc[k] for k in sorted(acc)}
-
-    def items(self):
-        return self._terms.items()
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GrassmannElement) and self._terms == other._terms
-
-    def __sub__(self, other):
-        return GrassmannElement(
-            accumulate(dict(self._terms), ((k, -c) for k, c in other._terms.items()))
-        )
+        self._arity, self._terms, self._hash = 1, _sorted(accumulate({}, pairs)), None
 
     def __str__(self):
         if not self._terms:

@@ -387,7 +387,7 @@ class CoidentityMap:
                 s = _apply_step(spec, s, ("project", laid_out), False)
             if s:
                 accumulate(out, self._expand(s))
-        return FormalTensor._merged(self.arity, out)
+        return FormalTensor._merged(out, arity=self.arity)
 
     def _walk(self, spec, node, t: dict, prune: bool, sums: dict) -> None:
         children, tails = node

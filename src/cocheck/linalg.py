@@ -6,6 +6,13 @@ in canonical form: zero coefficients dropped, keys sorted, duplicates
 merged.  Equal values compare and hash equally, which makes golden-file
 tests and memoization safe.
 
+`FormalVector`, `FormalTensor` and `dual.GrassmannElement` share one
+private base, `_Combination`, which owns their sparse arithmetic (`+`,
+`-`, `scale`, `*`), equality and hashing: same type, arity and terms.
+A vector and a Grassmann element have arity 1.  Each class here
+re-binds the base's `__add__`, `__sub__` and `scale` in its own body,
+because `perfbench/tracer.py` wraps them by name from a class's `vars()`.
+
 Every sparse sum in the engine, from vector addition to the coidentity
 steps and the Grassmann envelope products, is merged by `accumulate`,
 the single place that adds coefficients into a dict and drops the zeros.
@@ -13,10 +20,10 @@ One loop inlines its adding: `permute_terms`, fused with a reordering of
 the keys.  It is the loop of every tail group of the coidentity plan
 (`CoidentityMap._run_tails`), and the plan's leaf steps stream their
 unmerged terms straight into it.  Results that are already merged are
-wrapped by the private `_merged` constructors, which only sort, and not
-even that for the sorted term table of rule evaluation.  Likewise
-`koszul_sign` is the single place that computes the Koszul sign of a
-reordering.
+wrapped by the private `_merged(acc, ordered=False, arity=1)`, which
+only sorts, and not even that for the sorted term table of rule
+evaluation.  Likewise `koszul_sign` is the single place that computes
+the Koszul sign of a reordering.
 
 `BasisLabel` is a `typing.NamedTuple`, so labels hash, compare and order
 as the plain tuple `(family, index, parity)`.  That keeps the hot dict
@@ -108,35 +115,98 @@ def _sorted(acc: dict) -> dict:
 _ZERO = Fraction(0)
 
 
-class FormalVector:
-    """A finite rational linear combination of basis labels."""
+def _coerced(terms: Union[Mapping, Iterable]) -> dict:
+    """The (key, coeff) pairs of a mapping or an iterable, every
+    coefficient made a `Fraction`, merged by `accumulate` but unsorted."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    return accumulate({}, ((k, scalar(c)) for k, c in items))
 
-    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _sorted(accumulate({}, ((k, scalar(c)) for k, c in items)))
-        self._hash = None
+class _Combination:
+    """A finite rational combination of keys of one arity, in canonical
+    form.  A subclass adds its validating constructor and what reads its keys."""
+
+    __slots__ = ("_arity", "_terms", "_hash")
 
     @classmethod
-    def _merged(cls, acc: dict, ordered: bool = False) -> "FormalVector":
-        """Wrap a dict already merged by `accumulate`; only sorts it,
-        and not even that when it is `ordered` by key already."""
+    def _merged(cls, acc: dict, ordered: bool = False, arity: int = 1):
+        """Wrap a dict of arity-`arity` keys already merged by
+        `accumulate`; only sorts it, and not even that when it is
+        `ordered` by key already."""
         self = cls.__new__(cls)
+        self._arity = arity
         self._terms = acc if ordered else _sorted(acc)
         self._hash = None
         return self
 
-    @classmethod
-    def unit(cls, label: BasisLabel) -> "FormalVector":
-        return cls._merged({label: Fraction(1)})
-
     @property
-    def terms(self) -> Mapping[BasisLabel, Fraction]:
+    def terms(self) -> Mapping:
         return MappingProxyType(self._terms)
 
     def items(self):
         return self._terms.items()
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._arity == other._arity
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._arity, tuple(self._terms.items())))
+        return h
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._arity != other._arity:
+            raise ArityError(
+                f"cannot add tensors of arities {self._arity} and {other._arity}"
+            )
+        return self._merged(
+            accumulate(dict(self._terms), other._terms.items()), False, self._arity
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c: ScalarLike):
+        c = scalar(c)
+        terms = {k: v * c for k, v in self._terms.items()} if c else {}
+        return self._merged(terms, True, self._arity)
+
+    def __mul__(self, c: ScalarLike):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+
+class FormalVector(_Combination):
+    """A finite rational linear combination of basis labels."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Union[Mapping, Iterable] = ()):
+        self._arity, self._terms, self._hash = 1, _sorted(_coerced(terms)), None
+
+    # perfbench/tracer.py wraps these by name, from the class's own vars().
+    __add__, __sub__, scale = _Combination.__add__, _Combination.__sub__, _Combination.scale
+
+    @classmethod
+    def unit(cls, label: BasisLabel) -> "FormalVector":
+        return cls._merged({label: Fraction(1)})
 
     def labels(self):
         return self._terms.keys()
@@ -152,46 +222,8 @@ class FormalVector:
         """Largest label index in the support; -1 for the zero vector."""
         return max((l.index for l in self._terms), default=-1)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalVector) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(tuple(self._terms.items()))
-            self._hash = h
-        return h
-
-    def __add__(self, other: "FormalVector") -> "FormalVector":
-        if not isinstance(other, FormalVector):
-            return NotImplemented
-        return FormalVector._merged(accumulate(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other: "FormalVector") -> "FormalVector":
-        return self + (-other)
-
-    def __neg__(self) -> "FormalVector":
-        return self.scale(-1)
-
-    def scale(self, c: ScalarLike) -> "FormalVector":
-        c = scalar(c)
-        if not c:
-            return FormalVector()
-        return FormalVector._merged({k: v * c for k, v in self._terms.items()})
-
-    def __mul__(self, c: ScalarLike) -> "FormalVector":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
     def to_tensor(self) -> "FormalTensor":
-        return FormalTensor._merged(1, {(k,): v for k, v in self._terms.items()})
+        return FormalTensor._merged({(k,): v for k, v in self._terms.items()}, ordered=True)
 
     def __str__(self) -> str:
         return format_terms((c, str(k)) for k, c in self._terms.items())
@@ -200,107 +232,36 @@ class FormalVector:
         return f"FormalVector({self})"
 
 
-class FormalTensor:
+class FormalTensor(_Combination):
     """A finite rational combination of k-tuples of basis labels."""
 
-    __slots__ = ("_arity", "_terms", "_hash")
+    __slots__ = ()
 
     def __init__(self, arity: int, terms: Union[Mapping, Iterable] = ()):
         if arity < 1:
             raise ArityError(f"tensor arity must be >= 1, got {arity}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged = accumulate({}, ((k, scalar(c)) for k, c in items))
+        merged = _coerced(terms)
         for key in merged:
             if len(key) != arity:
                 raise ArityError(f"term {key} does not have arity {arity}")
-        self._arity = arity
-        self._terms = _sorted(merged)
-        self._hash = None
+        self._arity, self._terms, self._hash = arity, _sorted(merged), None
 
-    @classmethod
-    def _merged(cls, arity: int, acc: dict, ordered: bool = False) -> "FormalTensor":
-        """Wrap a dict of arity-`arity` keys already merged by
-        `accumulate`; only sorts it, as `FormalVector._merged`."""
-        self = cls.__new__(cls)
-        self._arity = arity
-        self._terms = acc if ordered else _sorted(acc)
-        self._hash = None
-        return self
-
-    @classmethod
-    def zero(cls, arity: int) -> "FormalTensor":
-        return cls(arity)
+    # perfbench/tracer.py wraps these by name, from the class's own vars().
+    __add__, __sub__, scale = _Combination.__add__, _Combination.__sub__, _Combination.scale
 
     @property
     def arity(self) -> int:
         return self._arity
 
-    @property
-    def terms(self) -> Mapping[tuple, Fraction]:
-        return MappingProxyType(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
     def coefficient(self, key: tuple) -> Fraction:
         return self._terms.get(tuple(key), _ZERO)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormalTensor)
-            and self._arity == other._arity
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self._arity, tuple(self._terms.items())))
-            self._hash = h
-        return h
-
-    def __add__(self, other: "FormalTensor") -> "FormalTensor":
-        if not isinstance(other, FormalTensor):
-            return NotImplemented
-        if self._arity != other._arity:
-            raise ArityError(
-                f"cannot add tensors of arities {self._arity} and {other._arity}"
-            )
-        return FormalTensor._merged(
-            self._arity, accumulate(dict(self._terms), other._terms.items())
-        )
-
-    def __sub__(self, other: "FormalTensor") -> "FormalTensor":
-        return self + (-other)
-
-    def __neg__(self) -> "FormalTensor":
-        return self.scale(-1)
-
-    def scale(self, c: ScalarLike) -> "FormalTensor":
-        c = scalar(c)
-        if not c:
-            return FormalTensor(self._arity)
-        return FormalTensor._merged(
-            self._arity, {k: v * c for k, v in self._terms.items()}
-        )
-
-    def __mul__(self, c: ScalarLike) -> "FormalTensor":
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def tensor(self, other: "FormalTensor") -> "FormalTensor":
         out: dict = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 out[ka + kb] = ca * cb
-        return FormalTensor._merged(self._arity + other._arity, out)
+        return FormalTensor._merged(out, arity=self._arity + other._arity)
 
     def flip(self, position: int, graded: bool = False) -> "FormalTensor":
         """Swap factors at `position` and `position + 1` (1-based).
@@ -316,7 +277,7 @@ class FormalTensor:
         perm[position - 1 : position + 1] = position, position - 1
         pairs = inversions(perm) if graded else ()
         return FormalTensor._merged(
-            self._arity, permute_terms(self._terms.items(), perm, pairs)
+            permute_terms(self._terms.items(), perm, pairs), arity=self._arity
         )
 
     def max_index(self) -> int:

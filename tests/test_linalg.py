@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cocheck import (
     ArityError,
     EchelonSubspace,
     FormalTensor,
     FormalVector,
+    GrassmannElement,
     extract_components,
 )
 from cocheck.linalg import inversions, permute_terms
@@ -73,6 +74,99 @@ class TestAdd:
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             ten(((E, E), 1)) + vec((E, 1)).to_tensor()
+
+
+def _tensors(n):
+    keys = st.tuples(*[labels_st] * n)
+    return st.dictionaries(keys, coeff_st, max_size=5).map(lambda d: FormalTensor(n, d))
+
+
+# Grassmann terms pair an even label with an even monomial, or an odd
+# label with an odd one.
+grassmann_st = st.dictionaries(
+    st.one_of(
+        st.tuples(st.sampled_from([E, X1]), st.sampled_from([(), (0, 1), (1, 2)])),
+        st.tuples(st.sampled_from([OD1, OD2]), st.sampled_from([(0,), (2,), (0, 1, 2)])),
+    ),
+    coeff_st,
+    max_size=4,
+).map(GrassmannElement)
+
+# One strategy per kind of combination; a drawn pair shares its kind.
+KINDS = [vectors_st, _tensors(1), tensors_st, _tensors(3), grassmann_st]
+same_kind_st = st.sampled_from(KINDS).flatmap(lambda s: st.tuples(s, s))
+scalar_st = st.one_of(coeff_st, st.integers(-3, 3))
+
+
+def _rebuilt(like, terms):
+    """A combination of `like`'s class and arity, through its constructor."""
+    if isinstance(like, FormalTensor):
+        return FormalTensor(like.arity, terms)
+    return type(like)(terms)
+
+
+def _arity(x):
+    return x.arity if isinstance(x, FormalTensor) else 1
+
+
+def _model(*scaled):
+    """The sorted items of sum(c * x) over the (c, x) pairs, on plain dicts."""
+    out = {}
+    for c, x in scaled:
+        for k, v in x.items():
+            out[k] = out.get(k, 0) + c * v
+    return sorted((k, v) for k, v in out.items() if v)
+
+
+class TestCombinationArithmetic:
+    """FormalVector, FormalTensor and GrassmannElement share one arithmetic."""
+
+    @given(same_kind_st, scalar_st)
+    def test_matches_dict_model(self, pair, c):
+        a, b = pair
+        cases = [
+            (a + b, _model((1, a), (1, b))),
+            (a - b, _model((1, a), (-1, b))),
+            (-a, _model((-1, a))),
+            (a.scale(c), _model((c, a))),
+            (c * a, _model((c, a))),
+            (a * c, _model((c, a))),
+        ]
+        for got, model in cases:
+            assert type(got) is type(a) and _arity(got) == _arity(a)
+            assert list(got.items()) == model
+            assert all(type(v) is Fraction for _, v in got.items())
+            assert len(got) == len(model) and bool(got) == bool(model)
+
+    @given(st.one_of(*KINDS))
+    def test_equal_values_hash_equal(self, a):
+        n = _arity(a)
+        backwards = dict(reversed(list(a.items())))
+        same = [a, _rebuilt(a, backwards), type(a)._merged(backwards, arity=n)]
+        zeros = [a.scale(0), a - a, _rebuilt(a, {}), type(a)._merged({}, arity=n)]
+        for group in (same, zeros):
+            for x in group:
+                assert x == group[0] and hash(x) == hash(group[0])
+        assert dict(a.terms) == dict(a.items())
+
+    @given(st.one_of(*KINDS), st.one_of(*KINDS))
+    def test_different_types_do_not_add(self, a, b):
+        assume(type(a) is not type(b))
+        assert a != b
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+
+    @given(st.sampled_from([1, 2, 3]).flatmap(
+        lambda n: st.tuples(_tensors(n), _tensors(n % 3 + 1))))
+    def test_different_arities_do_not_add(self, pair):
+        a, b = pair
+        assert a != b
+        with pytest.raises(ArityError):
+            a + b
+        with pytest.raises(ArityError):
+            a - b
 
 
 class TestTensorProduct:
