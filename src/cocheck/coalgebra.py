@@ -8,17 +8,22 @@ never claims unbounded verification.
 `delta` and `d_label` are the rule evaluators.  On a label's first call
 they run its family's compiled rule (`_rule`) once in integer
 arithmetic and keep the result on the spec as a sorted term table with
-integral coefficients as `int`.  The coidentity plan, the dual oracle's
-transposed delta and `validate_shift_bound` read that table through
-`_int_terms`, which calls the evaluator on a miss and asks it for the
-table alone.  The `Fraction` view a caller of `delta` or `d_label` gets
-is built from the table the first time it is asked for, and cached; a
-label only the plan reads never gets one.
+integral coefficients as `int`, keyed by tuples of factors for both
+rules.  That table is the one store of rule values: the coidentity
+plan, `delta_linear`, `apply_d`, the dual oracle and
+`validate_shift_bound` read it through `_int_terms`, which calls the
+evaluator on a miss and asks it for the table alone.  A caller of
+`delta` or `d_label` gets a `Fraction` view built from the table on
+each call; no view is kept.
+
+Every check reports through `scan`, the one place that collects
+witnesses and stops at `MAX_WITNESSES`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Mapping, Optional, Union
 
@@ -150,15 +155,13 @@ class CoalgebraSpec:
         if self.shift_bound < 0:
             raise SpecError("shift_bound must be nonnegative")
         # Rule evaluation, step kind -> label -> ((key, c), ...) sorted,
-        # with integral coefficients as int: the one term table, filled
-        # by `delta` and `d_label` and read through `_int_terms`.  The
-        # two caches below hold its `Fraction` views, built on demand.
+        # each key a tuple of factors ((l, r) for delta, (m,) for d) and
+        # integral coefficients as int: the one store of rule values,
+        # filled by `delta` and `d_label` and read through `_int_terms`.
         # `_rules` holds each family's rule compiled on first use and
         # `_labels` the labels it has built, family -> index -> label
         # (see `_rule`).
         object.__setattr__(self, "_int_cache", {"delta": {}, "d": {}})
-        object.__setattr__(self, "_delta_cache", {})
-        object.__setattr__(self, "_d_cache", {})
         object.__setattr__(self, "_rules", {"delta": {}, "d": {}})
         object.__setattr__(self, "_labels", {})
         # The dual oracle's transposed delta, (l, r) -> [(k, c)] for the
@@ -254,23 +257,15 @@ def delta(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> Forma
 
     `_table` (for `_int_terms`) returns the integer term table instead
     and builds no `Fraction` view."""
-    cached = None if _table else spec._delta_cache.get(label)
-    if cached is not None:
-        return cached
-    tables = spec._int_cache["delta"]
-    table = tables.get(label)
+    table = spec._int_cache["delta"].get(label)
     if table is None:
         decl = spec.family(label.family)
         if not decl.contains(label.index):
             raise RangeError(f"label {label} outside declared range {decl.range_str()}")
-        n = label.index
-        terms = _rule(spec, "delta", label.family, n)
-        table = tables[label] = _tabulate(_delta_items(spec, terms, n))
+        table = _fill(spec, "delta", label, _delta_items)
     if _table:
         return table
-    result = FormalTensor._merged(_fraction_view(table), ordered=True, arity=2)
-    spec._delta_cache[label] = result
-    return result
+    return FormalTensor._merged(_fraction_view(table, 2), ordered=True, arity=2)
 
 
 def _delta_items(spec, terms, n: int):
@@ -297,10 +292,9 @@ def _delta_items(spec, terms, n: int):
 
 def delta_linear(spec: CoalgebraSpec, v: FormalVector) -> FormalTensor:
     """Linear extension of the comultiplication to formal vectors."""
-    out: dict = {}
-    for label, c in v.items():
-        accumulate(out, ((key, c * c2) for key, c2 in delta(spec, label).items()))
-    return FormalTensor._merged(out, arity=2)
+    terms = ((key, c * c2) for label, c in v.items()
+             for key, c2 in _int_terms(spec, "delta", label))
+    return FormalTensor._merged(accumulate({}, terms), arity=2)
 
 
 def d_label(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> FormalVector:
@@ -308,11 +302,7 @@ def d_label(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> For
     for `delta`."""
     if not spec.differential:
         raise SpecError(f"spec {spec.name!r} has no coderivation")
-    cached = None if _table else spec._d_cache.get(label)
-    if cached is not None:
-        return cached
-    tables = spec._int_cache["d"]
-    table = tables.get(label)
+    table = spec._int_cache["d"].get(label)
     if table is None:
         if (
             spec.coderivation_max_index is not None
@@ -322,19 +312,15 @@ def d_label(spec: CoalgebraSpec, label: BasisLabel, _table: bool = False) -> For
                 f"coderivation of {spec.name!r} is only defined up to index "
                 f"{spec.coderivation_max_index}, got {label}"
             )
-        n = label.index
-        terms = _rule(spec, "d", label.family, n)
-        table = tables[label] = _tabulate(_d_items(spec, terms, n))
+        table = _fill(spec, "d", label, _d_items)
     if _table:
         return table
-    result = FormalVector._merged(_fraction_view(table), ordered=True)
-    spec._d_cache[label] = result
-    return result
+    return FormalVector._merged(_fraction_view(table, 1), ordered=True)
 
 
 def _d_items(spec, terms, n: int):
-    """The (label, c) terms of the compiled coderivation rule `terms` at
-    index n, with c an `int` where it is integral."""
+    """The ((label,), c) terms of the compiled coderivation rule `terms`
+    at index n, with c an `int` where it is integral."""
     for coeff, (name, cn, _, c0, row) in terms:
         c = coeff.value(n)
         if c:
@@ -342,7 +328,7 @@ def _d_items(spec, terms, n: int):
             label = row.get(m)
             if label is None:
                 label = row[m] = spec.label(name, m)
-            yield label, c
+            yield (label,), c
 
 
 def _rule(spec: CoalgebraSpec, kind: str, family: str, n: int):
@@ -385,24 +371,32 @@ def _target(spec: CoalgebraSpec, family: str, index) -> tuple:
     return (family, index.n, index.i, index.const, row)
 
 
-def _tabulate(items) -> tuple:
-    """The integer term table of the (key, c) terms `items`: merged by
+def _fill(spec: CoalgebraSpec, kind: str, label: BasisLabel, items) -> tuple:
+    """Store and return the integer term table of `kind`'s rule at
+    `label`: the terms `items` yields for its compiled rule, merged by
     `accumulate` and sorted by key."""
-    return tuple(sorted(accumulate({}, items).items()))
+    n = label.index
+    terms = items(spec, _rule(spec, kind, label.family, n), n)
+    table = spec._int_cache[kind][label] = tuple(sorted(accumulate({}, terms).items()))
+    return table
 
 
-def _fraction_view(table: tuple) -> dict:
+def _fraction_view(table: tuple, arity: int) -> dict:
     """The terms of an integer term table as a sorted dict of `Fraction`s,
     one `Fraction` per distinct coefficient (most rules have a handful),
-    so the view costs few allocations."""
+    so the view costs few allocations.  At `arity` 1 each key is the
+    bare label, as `FormalVector` keys its terms."""
     fractions = {c: Fraction(c) for c in {c for _, c in table}}
+    if arity == 1:
+        return {key: fractions[c] for (key,), c in table}
     return {key: fractions[c] for key, c in table}
 
 
 def _int_terms(spec: CoalgebraSpec, kind: str, label) -> tuple:
     """The terms of delta(spec, label) or d_label(spec, label) as
-    ((key, c), ...), integral coefficients as int: the table that rule
-    evaluation fills, without its `Fraction` view."""
+    ((key, c), ...), each key a tuple of factors and integral
+    coefficients as int: the table that rule evaluation fills, without
+    its `Fraction` view."""
     table = spec._int_cache[kind].get(label)
     if table is None:
         table = (delta if kind == "delta" else d_label)(spec, label, _table=True)
@@ -413,19 +407,18 @@ def apply_d(spec: CoalgebraSpec, v: Union[FormalVector, BasisLabel]) -> FormalVe
     """Linear extension of the coderivation."""
     if isinstance(v, BasisLabel):
         return d_label(spec, v)
-    out: dict = {}
-    for label, c in v.items():
-        accumulate(out, ((m, c * c2) for m, c2 in d_label(spec, label).items()))
-    return FormalVector._merged(out)
+    terms = ((m, c * c2) for label, c in v.items()
+             for (m,), c2 in _int_terms(spec, "d", label))
+    return FormalVector._merged(accumulate({}, terms))
 
 
 def scan(name, checked, subjects, residual, render=str) -> CheckReport:
     """Walk `subjects` lazily and report the first MAX_WITNESSES nonzero
     residuals as `Witness(render(subject), str(residual))`.
 
-    `checked` is the window the report claims to cover.  Every check that
-    keeps at most one witness per label or label tuple reports through
-    here.
+    `checked` is the window the report claims to cover.  Every check
+    reports through here; a check with several faults per label yields
+    them as (subject, residual) pairs, in order.
     """
     witnesses = []
     for subject in subjects:
@@ -482,35 +475,33 @@ def validate_shift_bound(spec: CoalgebraSpec, max_index: int) -> CheckReport:
     infinite family, and m >= n - s.  Together these guarantee that dual
     products and the transposed derivation of finitely supported
     functionals stay finitely supported, with support windows computable
-    from s.
+    from s.  Each fault goes to `scan` as (label, message), in label
+    order, so the report stops at the third even within one label.
     """
     s = spec.shift_bound
-    witnesses = []
 
-    def bad(label, what):
-        witnesses.append(Witness(str(label), what))
+    def faults():
+        for label in spec.labels_upto(max_index):
+            n = label.index
+            for (l, r), _ in _int_terms(spec, "delta", label):
+                for factor in (l, r):
+                    if spec.family(factor.family).infinite and factor.index > n + s:
+                        yield str(label), f"factor {factor} exceeds index {n} + {s}"
+                if l.index + r.index < n - s:
+                    yield str(label), f"term {l}(x){r} has index sum below {n} - {s}"
+            if spec.differential and (
+                spec.coderivation_max_index is None or n <= spec.coderivation_max_index
+            ):
+                for (m,), _ in _int_terms(spec, "d", label):
+                    if spec.family(m.family).infinite and m.index > n + s:
+                        yield str(label), f"d image {m} exceeds index {n} + {s}"
+                    if m.index < n - s:
+                        yield str(label), f"d image {m} below index {n} - {s}"
 
-    for label in spec.labels_upto(max_index):
-        n = label.index
-        for (l, r), _ in _int_terms(spec, "delta", label):
-            for factor in (l, r):
-                if spec.family(factor.family).infinite and factor.index > n + s:
-                    bad(label, f"factor {factor} exceeds index {n} + {s}")
-            if l.index + r.index < n - s:
-                bad(label, f"term {l}(x){r} has index sum below {n} - {s}")
-        if spec.differential and (
-            spec.coderivation_max_index is None or n <= spec.coderivation_max_index
-        ):
-            for m, _ in _int_terms(spec, "d", label):
-                if spec.family(m.family).infinite and m.index > n + s:
-                    bad(label, f"d image {m} exceeds index {n} + {s}")
-                if m.index < n - s:
-                    bad(label, f"d image {m} below index {n} - {s}")
-        if len(witnesses) >= MAX_WITNESSES:
-            break
-    return CheckReport(
-        name=f"shift-bound ({s})",
-        passed=not witnesses,
-        checked=spec.checked_ranges(max_index),
-        witnesses=tuple(witnesses),
+    return scan(
+        f"shift-bound ({s})",
+        spec.checked_ranges(max_index),
+        faults(),
+        itemgetter(1),
+        render=itemgetter(0),
     )

@@ -476,15 +476,15 @@ def _apply_step(spec, t: dict, step, prune: bool) -> dict:
 
 def _rule_terms(spec, t: dict, step, prune: bool):
     """The (key, c) pairs, unmerged, of a delta or d step on the terms
-    of `t`: the factor at the step's position replaced by each term of
-    its integer table, coefficients multiplied.
+    of `t`: the factor at the step's position replaced by the key of
+    each term of its integer table, a tuple of one factor for d and two
+    for delta, coefficients multiplied.
 
     Each term looks its label up in the spec's term table, and goes
     through `_int_terms` only on a miss.  With `prune`, the step's parity
     requirements that are not None filter a label's table once per
     step, into a table of its own."""
     kind, pos = step[0], step[1] - 1
-    d = kind == "d"
     reqs = [(j, r) for j, r in enumerate(step[2:]) if r is not None] if prune else []
     cache = spec._int_cache[kind]
     tables = {} if reqs else cache
@@ -495,11 +495,11 @@ def _rule_terms(spec, t: dict, step, prune: bool):
             table = cache.get(label) or _int_terms(spec, kind, label)
             if reqs:
                 table = [(piece, c2) for piece, c2 in table
-                         if all((piece if d else piece[j]).parity == r for j, r in reqs)]
+                         if all(piece[j].parity == r for j, r in reqs)]
             tables[label] = table
         head, tail = key[:pos], key[pos + 1:]
         for piece, c2 in table:
-            yield head + ((piece,) if d else piece) + tail, c * c2
+            yield head + piece + tail, c * c2
 
 
 def _block_requirement(mono: Monomial, sig) -> Optional[int]:

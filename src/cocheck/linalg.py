@@ -180,7 +180,7 @@ class _Combination:
         return self + (-other)
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._merged({k: -v for k, v in self._terms.items()}, True, self._arity)
 
     def scale(self, c: ScalarLike):
         c = scalar(c)

@@ -21,6 +21,7 @@ from cocheck import (
     coderivation_check,
     delta,
     delta_linear,
+    dual_derivation,
     dumps_spec,
     gelfand_dorfman,
     graded_dual,
@@ -28,6 +29,7 @@ from cocheck import (
     loads_spec,
     validate_shift_bound,
 )
+from cocheck import coalgebra
 from cocheck.coalgebra import _int_terms, d_label, scan
 from cocheck.rules import Guard, delta_term, deriv_term
 from conftest import vec
@@ -368,6 +370,14 @@ def fractional_specs():
     return [(spec, 40)]
 
 
+def keyed(kind, value):
+    """A delta or d view's terms keyed as in the integer term table: a
+    tuple of factors for both rules."""
+    if kind == "d":
+        return tuple(((m,), c) for m, c in value.items())
+    return tuple(value.items())
+
+
 # The structure-scan benchmark's windows for example1 and example4.
 BUILTIN_WINDOWS = {"example1": 300, "example4": 70}
 
@@ -390,7 +400,7 @@ class TestIntegerKernel:
                     value = evaluate(spec, label)
                     assert value == reference(spec, label), (spec.name, label)
                     table = _int_terms(spec, kind, label)
-                    assert table == tuple(value.items())
+                    assert table == keyed(kind, value)
                     for _, c in table:
                         assert type(c) is (int if c.denominator == 1 else Fraction)
                         kinds_seen.add((kind, type(c)))
@@ -434,28 +444,32 @@ class TestIntegerKernel:
         cases = [(builtin(name), BUILTIN_WINDOWS.get(name, 32)) for name in specs]
         for spec, window in cases + fractional_specs():
             labels = spec.labels_upto(window)
-            kinds = [("delta", delta, reference_delta, spec._delta_cache)]
+            kinds = [("delta", delta, reference_delta)]
             if spec.differential:
-                kinds.append(("d", d_label, reference_d_label, spec._d_cache))
-            for kind, evaluate, reference, views in kinds:
-                # The table first: it builds no view.
+                kinds.append(("d", d_label, reference_d_label))
+            for kind, evaluate, reference in kinds:
+                # The table first, then a fresh view of it on every call.
                 tables = [_int_terms(spec, kind, label) for label in labels]
-                assert not views
                 for label, table in zip(labels, tables):
                     value = evaluate(spec, label)
                     assert value == reference(spec, label), (spec.name, label)
                     assert list(value.items()) == sorted(value.items())
                     assert all(type(c) is Fraction for _, c in value.items())
-                    assert tuple(value.items()) == table
-                    assert evaluate(spec, label) is value
+                    assert keyed(kind, value) == table
+                    again = evaluate(spec, label)
+                    assert again == value and again is not value
+                    assert _int_terms(spec, kind, label) is table
 
-    def test_the_plan_builds_no_fraction_view(self):
+    def test_the_plan_builds_no_fraction_view(self, monkeypatch):
+        def refuse(table, arity):
+            raise AssertionError("the plan built a Fraction view")
+
+        monkeypatch.setattr(coalgebra, "_fraction_view", refuse)
         ex4, ex6 = builtin("example4"), builtin("example6")
         assert coderivation_check(ex4, 40).passed
         assert check_identity(ex6, builtin_identities()["jordan-linearized"], 6).passed
         for spec in (ex4, ex6):
             assert spec._int_cache["delta"]
-            assert not spec._delta_cache and not spec._d_cache
         assert ex4._int_cache["d"]
 
     def test_errors_keep_their_messages_when_the_table_comes_first(self):
@@ -480,10 +494,79 @@ class TestIntegerKernel:
         ex2 = builtin("example2")
         with pytest.raises(SpecError, match=r"^spec 'example2' has no coderivation$"):
             _int_terms(ex2, "d", ex2.label("e", 0))
-        # A failed evaluation leaves no table and no view behind.
-        for s in (spec, dual):
-            assert not s._delta_cache and not s._d_cache
+        # A failed evaluation leaves no table behind.
         assert spec.label("x", 4) not in spec._int_cache["delta"]
+        assert spec.label("x", 3) not in spec._int_cache["d"]
+        assert dual.label("x", 48) not in dual._int_cache["d"]
+
+
+@st.composite
+def drawn_vectors(draw, spec, max_index=8):
+    """A vector of up to four terms over the labels of spec up to max_index."""
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(spec.labels_upto(max_index)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ), max_size=4))
+    return FormalVector(terms)
+
+
+TABLE_READERS = ["example1", "example4", "example8"]
+
+
+class TestTableReaders:
+    """`delta_linear`, `apply_d` and `dual_derivation` read the integer
+    term table; each must equal its definition over the `Fraction` views
+    that `delta` and `d_label` return."""
+
+    @pytest.mark.parametrize("name", TABLE_READERS)
+    @given(data=st.data())
+    def test_delta_linear_sums_the_delta_views(self, specs, name, data):
+        spec = specs[name]
+        v = data.draw(drawn_vectors(spec))
+        expected = FormalTensor(2, [])
+        for label, c in v.items():
+            expected = expected + delta(spec, label).scale(c)
+        value = delta_linear(spec, v)
+        assert value == expected
+        assert all(type(c) is Fraction for _, c in value.items())
+
+    @pytest.mark.parametrize("name", TABLE_READERS)
+    @given(data=st.data())
+    def test_apply_d_sums_the_d_views(self, specs, name, data):
+        spec = specs[name]
+        v = data.draw(drawn_vectors(spec))
+        if not spec.differential:
+            if v:
+                with pytest.raises(SpecError, match="has no coderivation"):
+                    apply_d(spec, v)
+            return
+        expected = FormalVector()
+        for label, c in v.items():
+            expected = expected + d_label(spec, label).scale(c)
+        value = apply_d(spec, v)
+        assert value == expected
+        assert all(type(c) is Fraction for _, c in value.items())
+
+    @pytest.mark.parametrize("name", TABLE_READERS)
+    @given(data=st.data())
+    def test_dual_derivation_is_f_after_d(self, specs, name, data):
+        spec = specs[name]
+        f = data.draw(drawn_vectors(spec))
+        if not spec.differential:
+            with pytest.raises(SpecError, match="has no coderivation"):
+                dual_derivation(spec, f)
+            return
+        # (d* f)(b) = f(d(b)) on every label b, a few past the window the
+        # shift bound gives, where it must vanish.
+        upto = (f.max_index() if f else 0) + spec.shift_bound + 3
+        expected = FormalVector([
+            (b, sum((c * f.coefficient(m) for m, c in d_label(spec, b).items()),
+                    Fraction(0)))
+            for b in spec.labels_upto(upto)
+        ])
+        value = dual_derivation(spec, f)
+        assert value == expected
+        assert all(type(c) is Fraction for _, c in value.items())
 
 
 class TestCocommutativity:
@@ -524,6 +607,22 @@ class TestShiftBound:
         report = validate_shift_bound(bad, 20)
         assert not report.passed
         assert "d image" in report.witnesses[0].residual
+
+    def test_witnesses_stop_at_the_cap_within_a_label(self):
+        # Each label breaks the bound twice, once per factor: the scan
+        # stops at the third fault, inside the second label.
+        spec = CoalgebraSpec(
+            name="overshoot",
+            families=(FamilyDecl("x"),),
+            delta={"x": [delta_term(1, ("x", "n + 1"), ("x", "n + 1"))]},
+        )
+        report = validate_shift_bound(spec, 5)
+        assert not report.passed
+        assert [str(w) for w in report.witnesses] == [
+            "x:0: factor x:1 exceeds index 0 + 0",
+            "x:0: factor x:1 exceeds index 0 + 0",
+            "x:1: factor x:2 exceeds index 1 + 0",
+        ]
 
     @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 10)])
     def test_all_builtins_validate(self, specs, name):

@@ -593,3 +593,28 @@ class TestGrassmannEnvelope:
     def test_generator_count_validated(self):
         with pytest.raises(SpecError):
             grassmann_envelope_check(builtin("example7"), 2, 10, seed=0)
+
+    # A sample can fail both laws; the report stops at the third
+    # witness even when that is mid-sample.
+    CAPPED = {
+        0: [("sample 1: commutativity with u=2*x:6(x)1, v=3*x:0(x)1 + -1*x:4(x)g0^g1",
+             "-36*x:5(x)1 + 4*x:9(x)g0^g1"),
+            ("sample 1: jordan identity with u=2*x:6(x)1, v=3*x:0(x)1 + -1*x:4(x)g0^g1",
+             "-4320*x:15(x)1 + 1440*x:19(x)g0^g1"),
+            ("sample 2: commutativity with u=-1*x:3(x)1 + 2*x:3(x)g0^g2, v=1*x:4(x)g1^g2",
+             "-1*x:6(x)g1^g2")],
+        1: [("sample 0: commutativity with u=-1*x:4(x)1, v=1*x:3(x)g1^g2",
+             "1*x:6(x)g1^g2"),
+            ("sample 0: jordan identity with u=-1*x:4(x)1, v=1*x:3(x)g1^g2",
+             "48*x:12(x)g1^g2"),
+            ("sample 1: commutativity with u=1*x:3(x)1 + -3*x:6(x)g0^g1, "
+             "v=3*x:3(x)g0^g2 + 3*x:4(x)1",
+             "3*x:6(x)1 + 18*x:9(x)g0^g1")],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_witnesses_stop_at_the_cap(self, seed):
+        report = grassmann_envelope_check(builtin("example5"), seed=seed)
+        assert not report.passed
+        assert len(report.witnesses) == MAX_WITNESSES
+        assert [(w.subject, w.residual) for w in report.witnesses] == self.CAPPED[seed]
