@@ -11,8 +11,14 @@ trace, never as a theorem.
 A run inserts each distinct component once, and a windowed run stops as
 soon as its span is the whole window.  The simplicity probe runs many
 closures over one spec and one window, and its runs share one memo of
-each row's windowed components.  None of this changes a trace's rows,
-its final dimension or the steps up to saturation.
+each row's windowed components, in which equal components are one
+object, so a run's test for a component it has already inserted is an
+identity hit.  The echelon subspace does the rest of the work through
+its indexes (see `EchelonSubspace`): a component whose labels are all
+unit pivots is dropped without a reduction, and a new row is
+back-substituted only into the rows that hold its lead.  None of this
+changes a trace's rows, its final dimension or the steps up to
+saturation.
 """
 from __future__ import annotations
 
@@ -93,6 +99,7 @@ def generated_subcoalgebra(
     window: Optional[int] = None,
     *,
     memo: Optional[dict] = None,
+    interned: Optional[dict] = None,
 ) -> ClosureTrace:
     """Iterate closure steps from the generators to a fixed point or budget.
 
@@ -107,13 +114,17 @@ def generated_subcoalgebra(
 
     `memo` maps a processed row to its nonzero window-filtered
     components, and is valid for one spec and one window only; runs
-    over the same spec and window may share one dict.  It changes no
+    over the same spec and window may share one dict.  `interned` maps
+    each component in `memo` to the one object that stands for all its
+    equal copies, and is shared along with `memo`.  Neither changes a
     result.  None means a fresh dict for this call.
     """
     if max_steps < 1 or max_dim < 1:
         raise SpecError("closure budget must be positive")
     if memo is None:
         memo = {}
+    if interned is None:
+        interned = {}
     full = None if window is None else len(spec.labels_upto(window))
     sub = EchelonSubspace()
     queue = []
@@ -136,7 +147,9 @@ def generated_subcoalgebra(
             comps = memo.get(v)
             if comps is None:
                 comps = memo[v] = [
-                    c for c in components(spec, v) if c and _in_window(c, window)
+                    interned.setdefault(c, c)
+                    for c in components(spec, v)
+                    if c and _in_window(c, window)
                 ]
             for comp in comps:
                 if comp in seen:
@@ -254,10 +267,11 @@ def simplicity_probe(
     runs = []
     passed = True
     memo: dict = {}  # shared by every run: one spec, one window
+    interned: dict = {}
     for name, v in starts:
         trace = generated_subcoalgebra(
             spec, [v], max_steps=max_steps, max_dim=max_dim, window=horizon,
-            memo=memo,
+            memo=memo, interned=interned,
         )
         saturated = trace.final_dim == len(window_labels)
         missing = ()

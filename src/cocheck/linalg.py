@@ -391,12 +391,21 @@ class EchelonSubspace:
     keyed by their leading label.  Insertion preserves echelon form; the
     dimension is the number of rows.  Instances are working state and
     are mutated in place; rows themselves are immutable vectors.
+
+    Two indexes are kept in step with the rows.  The column index maps
+    each non-pivot label to the pivots whose row holds it, so a new row
+    is back-substituted only into the rows that hold its lead.  The unit
+    set holds the pivots whose row is the unit vector of its pivot: a
+    vector supported on unit pivots alone is in the span, and a label's
+    unit vector is in the span exactly when the label is a unit pivot.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_cols", "_units")
 
     def __init__(self, vectors: Iterable[FormalVector] = ()):
         self._rows: dict = {}
+        self._cols: dict = {}  # non-pivot label -> set of pivots whose row holds it
+        self._units: set = set()  # pivots whose row has no tail
         for v in vectors:
             self.insert(v)
 
@@ -418,18 +427,19 @@ class EchelonSubspace:
         # one pass.  A row's pivot is its first item, so every pivot
         # entry of v cancels exactly and no tail touches a pivot: the
         # result is v's non-pivot entries plus -c times each hit row's
-        # tail.
+        # tail.  A unit row has no tail, so its hit only drops the entry.
         rows = self._rows
+        units = self._units
         hits = []
         rest = {}
         for l, c in v.items():
             row = rows.get(l)
             if row is None:
                 rest[l] = c
-            else:
+            elif l not in units:
                 hits.append((row, c))
         if not hits:
-            return v
+            return v if len(rest) == len(v) else FormalVector._merged(rest, True)
         return FormalVector._merged(accumulate(rest, (
             (k, -c * rc) for row, c in hits for k, rc in islice(row.items(), 1, None)
         )))
@@ -438,25 +448,44 @@ class EchelonSubspace:
         return not self.reduce(v)
 
     def contains_label(self, label: BasisLabel) -> bool:
-        return FormalVector.unit(label) in self
+        return label in self._units
 
     def insert(self, v: FormalVector):
         """Insert v; returns the new reduced row, or None if v was in the span."""
+        units = self._units
+        if v.labels() <= units:
+            return None
         r = self.reduce(v)
         if not r:
             return None
-        lead = r.leading()
-        r = r.scale(1 / r.coefficient(lead))
-        for pivot, row in list(self._rows.items()):
-            c = row.coefficient(lead)
-            if c:
-                self._rows[pivot] = row - r.scale(c)
-        self._rows[lead] = r
+        lead, c = next(iter(r.items()))
+        if c != 1:
+            r = r.scale(1 / c)
+        rows, cols = self._rows, self._cols
+        for pivot in cols.pop(lead, ()):
+            row = rows[pivot]
+            rows[pivot] = new = row - r.scale(row.coefficient(lead))
+            # A tail label other than the lead leaves a row only by
+            # cancelling against r, which holds it too.
+            for l in row.labels() - new.labels():
+                if l != lead:
+                    cols[l].discard(pivot)
+            for l in new.labels() - row.labels():
+                cols.setdefault(l, set()).add(pivot)
+            if len(new) == 1:
+                units.add(pivot)
+        for l in islice(r.labels(), 1, None):
+            cols.setdefault(l, set()).add(lead)
+        if len(r) == 1:
+            units.add(lead)
+        rows[lead] = r
         return r
 
     def copy(self) -> "EchelonSubspace":
         out = EchelonSubspace()
         out._rows = dict(self._rows)
+        out._cols = {l: set(ps) for l, ps in self._cols.items()}
+        out._units = set(self._units)
         return out
 
     def __eq__(self, other) -> bool:

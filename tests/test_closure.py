@@ -212,8 +212,10 @@ COALGEBRAS = [f"example{i}" for i in range(1, 10)]
 
 
 class ReferenceEchelon(EchelonSubspace):
-    """An echelon subspace whose reduction subtracts c times the whole row
-    of every pivot in v's support, pivot entries included."""
+    """An echelon subspace that keeps no index: its reduction subtracts c
+    times the whole row of every pivot in v's support, pivot entries
+    included, and its insertion always normalizes the new row and scans
+    every row for back-substitution."""
 
     def reduce(self, v):
         rows = self._rows
@@ -223,6 +225,22 @@ class ReferenceEchelon(EchelonSubspace):
         return FormalVector._merged(accumulate(dict(v.items()), (
             (k, -c * rc) for row, c in hits for k, rc in row.items()
         )))
+
+    def insert(self, v):
+        r = self.reduce(v)
+        if not r:
+            return None
+        lead = r.leading()
+        r = r.scale(1 / r.coefficient(lead))
+        for pivot, row in list(self._rows.items()):
+            c = row.coefficient(lead)
+            if c:
+                self._rows[pivot] = row - r.scale(c)
+        self._rows[lead] = r
+        return r
+
+    def contains_label(self, label):
+        return FormalVector.unit(label) in self
 
 
 def reference_components(spec, v):
@@ -365,3 +383,69 @@ class TestPivotFreeReduce:
         assert sub.rows() == reference.rows()
         assert sub.reduce(v) == reference.reduce(v)
         assert (v in sub) == (v in reference)
+
+
+def recomputed_indexes(sub):
+    """The column index and the unit set of `sub`, rebuilt from its rows."""
+    cols = {}
+    for pivot, row in zip(sub.pivots(), sub.rows()):
+        for label in row.labels():
+            if label != pivot:
+                cols.setdefault(label, set()).add(pivot)
+    units = {p for p, row in zip(sub.pivots(), sub.rows()) if len(row) == 1}
+    return cols, units
+
+
+def snapshot(sub):
+    return (dict(sub._rows), {l: set(ps) for l, ps in sub._cols.items()},
+            set(sub._units))
+
+
+ALL_SMALL_LABELS = [BasisLabel(f, i) for f in "ab" for i in range(4)]
+
+
+class TestEchelonIndexes:
+    @given(st.lists(small_vectors_st, max_size=8))
+    def test_indexes_match_the_rows_after_every_insert(self, vs):
+        sub = EchelonSubspace()
+        for v in vs:
+            sub.insert(v)
+            assert (sub._cols, sub._units) == recomputed_indexes(sub)
+
+    @given(st.lists(small_vectors_st, max_size=6), st.lists(small_vectors_st, max_size=4))
+    def test_insert_into_a_copy_leaves_the_original(self, rows, more):
+        sub = EchelonSubspace(rows)
+        before = snapshot(sub)
+        out = sub.copy()
+        for v in more:
+            out.insert(v)
+        assert snapshot(sub) == before
+        assert (out._cols, out._units) == recomputed_indexes(out)
+
+    @given(st.lists(small_vectors_st, max_size=6))
+    def test_contains_label_agrees_with_unit_membership(self, rows):
+        sub = EchelonSubspace(rows)
+        reference = ReferenceEchelon(rows)
+        for label in ALL_SMALL_LABELS:
+            assert sub.contains_label(label) == (FormalVector.unit(label) in sub)
+            assert sub.contains_label(label) == reference.contains_label(label)
+
+    @pytest.mark.parametrize("name", ["example5", "example8"])
+    def test_equal_components_of_a_probe_memo_are_one_object(self, name, monkeypatch):
+        memos = []
+        real = closure.generated_subcoalgebra
+
+        def recording(*args, memo, **kwargs):
+            memos.append(memo)
+            return real(*args, memo=memo, **kwargs)
+
+        monkeypatch.setattr(closure, "generated_subcoalgebra", recording)
+        assert simplicity_probe(builtin(name), 8, seed=7).passed
+        assert all(m is memos[0] for m in memos)
+        firsts = {}
+        count = 0
+        for comps in memos[0].values():
+            for c in comps:
+                count += 1
+                assert firsts.setdefault(c, c) is c
+        assert count > len(firsts)
