@@ -455,8 +455,9 @@ def bruteforce_identity(
     The nest evaluates p ungraded, so a signature that would change the
     identity is refused: one with an odd slot, or any signature on a spec
     with an odd family (its graded reordering carries Koszul signs)."""
-    if not p.is_multilinear():
-        raise SpecError(f"identity is not multilinear: {p}")
+    fault = p.multilinear_fault()
+    if fault:
+        raise SpecError(f"identity is not multilinear: {fault}")
     sig = p.signature
     if sig is not None and (1 in sig or any(f.parity for f in spec.families)):
         raise SpecError(

@@ -35,8 +35,16 @@ The plan keeps one tail group per G-coset, and its walk accumulates
 orbit sums S, one per orbit of G on keys.  The full result is
 total[k] = |Stab(k)| * S[O(k)], so a label passes exactly when S is
 empty, and only a failing label pays for expanding S back to the full
-tensor.  With singleton classes G is trivial and the walk is the plain
-one.
+tensor.  Each tail group keys a term by one function compiled for it,
+which reads each class's labels straight from the unpermuted key and
+sorts them.  The same symmetry lets a leaf merge its input before it
+streams: positions that the leaf's step leaves alone and that every
+tail group of the leaf sends into one class are sorted in each key,
+their coefficients summed and the zeros dropped.  That is exact, since
+the orbit key of every term the leaf produces is unchanged by those
+swaps, and a graded class holds only `e` slots, so a term with an odd
+label there is projected away whatever its merged coefficient.  With
+singleton classes G is trivial and the walk is the plain one.
 
 Sign convention: the pairing of functionals against tensors carries no
 sign, and Koszul signs enter only through the graded permutation back
@@ -51,7 +59,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from math import factorial, prod
 from operator import itemgetter
 from typing import Optional, Union
@@ -181,11 +189,22 @@ class NAPoly:
         return self._signature
 
     def is_multilinear(self) -> bool:
-        expected = list(range(1, self._arity + 1))
-        return all(
-            sorted(v.slot for v in mono.leaves()) == expected
-            for _, mono in self._terms
-        )
+        return self.multilinear_fault() is None
+
+    def multilinear_fault(self) -> Optional[str]:
+        """Why the identity is not multilinear, or None when it is: the
+        first slot that a monomial repeats, or else the first slot of
+        1..arity that a monomial lacks.  Only a repeat can be linearized."""
+        for _, mono in self._terms:
+            counts = Counter(v.slot for v in mono.leaves())
+            repeated = [s for s in sorted(counts) if counts[s] > 1]
+            if repeated:
+                return (f"x{repeated[0]} occurs {counts[repeated[0]]} times in {mono}; "
+                        f"linearize it first")
+            missing = [s for s in range(1, self._arity + 1) if s not in counts]
+            if missing:
+                return f"x{missing[0]} does not occur in {mono}"
+        return None
 
     def with_signature(self, sig) -> "NAPoly":
         return NAPoly(self._terms, signature=sig, arity=self._arity)
@@ -292,8 +311,8 @@ class CoidentityMap:
     its tail groups: the branches that end there, grouped by their
     trailing permute and project steps, with their coefficients summed.
     A depth-first walk computes every shared prefix once per label and
-    runs each tail group as one loop over its terms.  A leaf's step is
-    not merged first: its terms stream straight into its tail groups,
+    runs each tail group as one loop over its terms.  A leaf's output
+    is not merged first: its terms stream straight into its tail groups,
     through one list when the leaf has more than one group.
 
     `classes` are the slot classes, computed from the plan (sorted tuples
@@ -312,18 +331,29 @@ class CoidentityMap:
     S is empty and expands S otherwise, into the same keys and
     `Fraction`s.  With singleton classes each tail group is its own
     coset and each key its own orbit.
+
+    The canonical key of a tail group is one function, compiled once
+    per permute step (`_sorting_key`): it reads each class's labels
+    straight from the unpermuted key, sorts them by compare-exchange
+    (by `sorted` past three) and adds the singleton slots.  A streamed
+    leaf whose untouched input positions fall, under each of its tail
+    groups, two or more into one class carries these positions as
+    `groups` (1-based) and a `merge` key that sorts them; the walk
+    merges the leaf's input under it, summing coefficients and dropping
+    zeros, before the leaf streams.  Jordan's delta@3 leaf merges its
+    positions 1 and 2.
     """
 
     arity: int
     branches: tuple  # ((coeff, (step, ...)), ...)
     classes: tuple = field(init=False)
     plan: tuple = field(init=False, repr=False, compare=False)
-    # permute step (None for the identity) -> (take, pairs, signs) for
-    # `permute_terms`, with take and pairs in the class-major layout
+    # permute step (None for the identity) -> (take, pairs, key, signs)
+    # for `permute_terms`, with take and pairs in the class-major layout
+    # and key the compiled orbit key (None with singleton classes)
     _tails: dict = field(init=False, repr=False, compare=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
-    _canon: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         identity = tuple(range(self.arity))
@@ -344,34 +374,47 @@ class CoidentityMap:
             if len(cls) > 1:
                 segments.append((lo, lo + len(cls)))
             lo += len(cls)
+        # slot position -> its class, for the slots of classes of two or more
+        class_of = {s - 1: i for i, cls in enumerate(classes) if len(cls) > 1 for s in cls}
         compiled: dict = {}
 
-        def freeze(node) -> tuple:
+        def freeze(node, step=None) -> tuple:
             """A trie node as (((step, child), ...), ((permute, project, coeff), ...)),
             with the first tail group of each coset of the slot classes."""
             children, tails = node
             reps: dict = {}
             for (permute, project), c in tails.items():
                 perm = permute[1] if permute else identity
-                # The factors the group takes, laid out class by class.
+                # The factors the group takes, laid out class by class,
+                # and its coset: the same with each class sorted.
                 take = tuple(map(perm.__getitem__, layout))
-                coset = (project, _canonical(segments, take))
+                coset = list(take)
+                for lo, hi in segments:
+                    coset[lo:hi] = sorted(coset[lo:hi])
+                coset = (project, tuple(coset))
                 if coset in reps:
                     continue
                 reps[coset] = (permute, project, integral(c))
-                pairs = tuple((where[a], where[b]) for a, b in permute[2]) if permute else ()
                 if permute not in compiled:
+                    pairs = tuple((where[a], where[b]) for a, b in permute[2]) if permute else ()
+                    key = (_sorting_key(take, tuple(range(lo, hi) for lo, hi in segments))
+                           if segments else None)
                     compiled[permute] = (
-                        None if take == identity and not pairs else take, pairs, {})
-            return (
-                tuple((step, freeze(child)) for step, child in children.items()),
+                        None if take == identity and not pairs else take, pairs, key, {})
+            frozen = _Node((
+                tuple((s, freeze(child, s)) for s, child in children.items()),
                 tuple(reps.values()),
-            )
+            ))
+            if class_of and step is not None and not children and step[0] in _RULE_STEPS:
+                groups = _leaf_groups(step, self.arity, [r[0] for r in frozen[1]], class_of)
+                if groups:
+                    frozen.groups = tuple(tuple(j + 1 for j in g) for g in groups)
+                    frozen.merge = _sorting_key(range(self.arity - (step[0] == "delta")),
+                                                groups)
+            return frozen
 
-        canon = partial(_canonical, tuple(segments)) if segments else None
         for name, value in (("classes", classes), ("plan", freeze(root)), ("_tails", compiled),
-                            ("_layout", layout), ("_segments", tuple(segments)),
-                            ("_canon", canon)):
+                            ("_layout", layout), ("_segments", tuple(segments))):
             object.__setattr__(self, name, value)
 
     def apply(self, spec: CoalgebraSpec, v) -> FormalTensor:
@@ -399,16 +442,17 @@ class CoidentityMap:
                 if u:
                     self._walk(spec, child, u, prune, sums)
                 continue
-            # A leaf: its step's terms go straight into its tail groups.
-            terms = _rule_terms(spec, t, step, prune)
+            # A leaf: its step's terms go straight into its tail groups,
+            # from its input merged over its groups when it has any.
+            u = t if child.merge is None else accumulate({}, zip(map(child.merge, t), t.values()))
+            terms = _rule_terms(spec, u, step, prune)
             self._run_tails(child_tails, list(terms) if len(child_tails) > 1 else terms, sums)
 
     def _run_tails(self, tails, items, sums: dict) -> None:
         """Sum the (key, c) pairs `items` into the orbit sums of each tail group."""
         for permute, project, coeff in tails:
-            take, pairs, signs = self._tails[permute]
-            permute_terms(items, take, pairs, sums.setdefault(project, {}), coeff,
-                          self._canon, signs)
+            take, pairs, key, signs = self._tails[permute]
+            permute_terms(items, take, pairs, sums.setdefault(project, {}), coeff, key, signs)
 
     def _expand(self, sums: dict):
         """The (key, coefficient) pairs of the full result: every key k of
@@ -437,12 +481,68 @@ class CoidentityMap:
         return self.describe()
 
 
-def _canonical(segments, key: tuple) -> tuple:
-    """A key laid out class by class with each class segment sorted: one
-    key per orbit of the slot classes' group."""
-    for lo, hi in segments:
-        key = key[:lo] + tuple(sorted(key[lo:hi])) + key[hi:]
-    return key
+class _Node(tuple):
+    """A plan trie node, the pair (children, tails).  A streamed leaf
+    with input positions to merge also carries them as `groups` (tuples
+    of 1-based positions), and `merge`, the key function that sorts the
+    labels of each group."""
+
+    groups: tuple = ()
+    merge = None
+
+
+def _leaf_groups(step, arity: int, permutes, class_of: dict) -> tuple:
+    """The groups of input positions (0-based, two or more each) of a
+    leaf `step` that the step leaves alone and that each of the leaf's
+    tail groups, with these permute steps, sends into one slot class."""
+    width = 2 if step[0] == "delta" else 1
+    pos = step[1] - 1
+    perms = [permute[1] if permute else range(arity) for permute in permutes]
+    groups: dict = {}  # the class of each tail group -> positions landing there
+    for j in range(arity - width + 1):
+        if j != pos:
+            out = j if j < pos else j + width - 1
+            lands = tuple(class_of.get(perm.index(out)) for perm in perms)
+            if None not in lands:
+                groups.setdefault(lands, []).append(j)
+    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
+
+
+# Compare-exchange sorts of 2 and 3 values named {0}, {1}, {2}.
+_EXCHANGES = {
+    2: ("if {0} > {1}: {0}, {1} = {1}, {0}",),
+    3: ("if {0} > {1}: {0}, {1} = {1}, {0}",
+        "if {1} > {2}:",
+        "    {1}, {2} = {2}, {1}",
+        "    if {0} > {1}: {0}, {1} = {1}, {0}"),
+}
+
+
+@lru_cache(maxsize=256)
+def _sorting_key(fields, groups):
+    """A key function, compiled from source once: the tuple of k[j] for
+    j in `fields`, with the values at each group of places in `groups`
+    sorted among those places.  A group of two or three is sorted by
+    compare-exchange, a longer one by `sorted`.  It runs once per term,
+    so it reads the factors straight from k and builds one tuple.  The
+    compiled functions are kept by shape, since compiling one costs
+    about as much as the rest of a plan."""
+    out = [f"k[{j}]" for j in fields]
+    body = []
+    for places in groups:
+        names = [f"v{i}" for i in places]
+        reads = ", ".join(out[i] for i in places)
+        if len(names) > 3:
+            body.append(f"{', '.join(names)} = sorted(({reads}))")
+        else:
+            body.append(f"{', '.join(names)} = {reads}")
+            body += [line.format(*names) for line in _EXCHANGES[len(names)]]
+        for i, name in zip(places, names):
+            out[i] = name
+    body.append(f"return ({', '.join(out)},)")
+    namespace: dict = {}
+    exec("def key(k):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    return namespace["key"]
 
 
 def _step_name(step) -> str:
@@ -584,10 +684,9 @@ def translate(p: NAPoly, koszul_pairing: bool = False) -> CoidentityMap:
     element c, pairing a_1 (x) ... (x) a_k against the returned map at c
     equals the identity evaluated on the a_i at c in the dual algebra.
     """
-    if not p.is_multilinear():
-        raise SpecError(
-            f"identity is not multilinear: {p}; linearize it first"
-        )
+    fault = p.multilinear_fault()
+    if fault:
+        raise SpecError(f"identity is not multilinear: {fault}")
     sig = p.signature
     graded = sig is not None and not koszul_pairing
     branches = []

@@ -312,47 +312,52 @@ def koszul_sign(parities, pairs) -> int:
 _PARITY = attrgetter("parity")
 
 
-def permute_terms(items, perm, pairs, acc=None, coeff=1, canon=None, signs=None) -> dict:
+def permute_terms(items, perm, pairs, acc=None, coeff=1, key=None, signs=None) -> dict:
     """Add the (key, coeff) pairs of `items` into `acc` (a new dict when
     None) and return it, every key permuted by `perm` (of at least two
     factors; None keeps the order) and each coefficient times the Koszul
     sign of `pairs`, result positions: `inversions(perm)` for a graded
     reordering, () for a plain one.  In the same loop every coefficient
-    is scaled by `coeff` and every permuted key mapped by `canon` when
-    given; the adding is `accumulate`'s, inlined, since this is the
-    hottest loop of the coidentity evaluator.
+    is scaled by `coeff`; the adding is `accumulate`'s, inlined, since
+    this is the hottest loop of the coidentity evaluator.  A `key`
+    function, when given, maps each key to its new key in place of the
+    reordering by `perm`, which then only places the signs: the
+    coidentity plan's tail groups map a key straight to the key of its
+    orbit.
 
     The sign depends only on the factor parities of a key, so it is
-    computed once per parity pattern, at most 2**len(perm) times; a
-    caller that permutes by the same perm and pairs again may pass one
-    `signs` dict to keep these across calls."""
-    take = itemgetter(*perm) if perm else None
+    read on the key before it is mapped, with `pairs` moved to those
+    positions, and computed once per parity pattern, at most
+    2**len(perm) times; a caller that permutes by the same perm and
+    pairs again may pass one `signs` dict to keep these across calls."""
+    if key is None and perm:
+        key = itemgetter(*perm)
+    if pairs:
+        pairs = tuple((perm[a], perm[b]) for a, b in pairs)
     if acc is None:
         acc = {}
     if signs is None:
         signs = {}  # parity pattern -> Koszul sign
     get = acc.get
-    for key, c in items:
-        if take is not None:
-            key = take(key)
+    for k, c in items:
         if pairs:
-            pattern = tuple(map(_PARITY, key))
+            pattern = tuple(map(_PARITY, k))
             sign = signs.get(pattern)
             if sign is None:
                 sign = signs[pattern] = koszul_sign(pattern, pairs)
             if sign < 0:
                 c = -c
-        if canon is not None:
-            key = canon(key)
+        if key is not None:
+            k = key(k)
         if coeff != 1:
             c *= coeff
-        prev = get(key)
+        prev = get(k)
         if prev is not None:
             c += prev
         if c:
-            acc[key] = c
+            acc[k] = c
         elif prev is not None:
-            del acc[key]
+            del acc[k]
     return acc
 
 

@@ -78,6 +78,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--example", "example1"],
+        ["dual", "identity", "--example", "example4", "--bound", "3"],
+    ], ids=["check", "dual-identity"])
+    @pytest.mark.parametrize("identity, message", [
+        # A skipped slot: linearizing cannot help, so it is not suggested.
+        ("x1 x3", "identity is not multilinear: x2 does not occur in (x1 x3)\n"),
+        ("x1 x2 + x1 x1",
+         "identity is not multilinear: x1 occurs 2 times in (x1 x1); linearize it first\n"),
+    ], ids=["skipped-slot", "repeated-slot"])
+    def test_identity_that_is_not_multilinear(self, capsys, argv, identity, message):
+        assert main(argv + ["--identity", identity]) == 2
+        assert capsys.readouterr().err.endswith(message)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -22,6 +22,7 @@ from cocheck import (
     translate,
     var,
 )
+from cocheck import identities
 from cocheck.catalog import list_examples
 from cocheck.coalgebra import d_label
 from cocheck.dual import coordinate_functional
@@ -400,6 +401,74 @@ class TestSlotClasses:
             for label in failing:
                 assert cmap.apply(spec, label) == naive_apply(cmap, spec, label)
 
+    def test_leaf_merges_where_its_tail_groups_agree(self, cat, monkeypatch):
+        def leaves(node):
+            for step, child in node[0]:
+                yield from leaves(child) if child[0] else [(step, child)]
+
+        jordan = translate(cat["jordan-linearized"])
+        graded = translate(cat["jordan-linearized"].with_signature("eeee"))
+        for cmap in (jordan, graded):
+            assert {step[:2]: leaf.groups for step, leaf in leaves(cmap.plan)} == {
+                ("delta", 3): ((1, 2),), ("delta", 1): ()}
+        # Slots 3 and 4 form a class.  The leaf's two tail groups send its
+        # untouched positions 2 and 3 to slots 3, 4 and to slots 1, 2.
+        disagreeing = translate(parse_identity(
+            "(((x1 x2) x3) x4) + (((x1 x2) x4) x3) + (((x3 x4) x1) x2) + (((x4 x3) x1) x2)"))
+        assert disagreeing.classes == ((1,), (2,), (3, 4))
+        for cmap in (disagreeing, translate(cat["moufang-linearized"]),
+                     translate(cat["right-alternativity-linearized"]), CODERIVATION):
+            assert not any(leaf.groups for _, leaf in leaves(cmap.plan)), cmap
+        for spec in (builtin("example1"), builtin("example5")):
+            for label in spec.labels_upto(6):
+                assert disagreeing.apply(spec, label) == naive_apply(disagreeing, spec, label)
+
+        # The delta@3 leaf's input, as the walk hands it to the step.
+        inputs = []
+        rule_terms = identities._rule_terms
+
+        def spy(spec, t, step, prune):
+            if step[:2] == ("delta", 3):
+                inputs.append(t)
+            return rule_terms(spec, t, step, prune)
+
+        monkeypatch.setattr(identities, "_rule_terms", spy)
+        # The unpruned copy of example8 shares its rules, so its reference.
+        reached, cancelled, odd, reference = set(), {}, 0, {}
+        for tag, spec, cmap in (("example4", builtin("example4"), jordan),
+                                ("example6", builtin("example6"), jordan),
+                                ("example8", builtin("example8"), graded),
+                                ("unpruned", without_pruning(builtin("example8")), graded)):
+            cancelled[tag] = 0
+            for label in spec.labels_upto(10):
+                inputs.clear()
+                if (spec.name, label) not in reference:
+                    reference[spec.name, label] = naive_apply(cmap, spec, label)
+                assert cmap.apply(spec, label) == reference[spec.name, label]
+                if not inputs:
+                    continue
+                (merged,) = inputs
+                reached.add(tag)
+                assert all(c and a <= b for (a, b, _), c in merged.items())
+                if cmap is graded:
+                    odd += sum(a.parity or b.parity for a, b, _ in merged)
+                    continue
+                t = {(label,): 1}
+                for _ in range(2):
+                    t = reference_step(spec, t, ("delta", 1, None, None))
+                expected: dict = {}
+                for (a, b, c), coeff in t.items():
+                    key = (min(a, b), max(a, b), c)
+                    expected[key] = expected.get(key, 0) + coeff
+                assert merged == {k: c for k, c in expected.items() if c}
+                cancelled[tag] += sum(not c for c in expected.values())
+        assert reached == set(cancelled)
+        # Parity pruning keeps odd labels out of the merged positions;
+        # without it they reach them, and the projection removes them.
+        assert odd > 0
+        # example6 is a Lie coalgebra: swapped keys cancel there.
+        assert cancelled["example6"] > 0
+
 
 @settings(max_examples=30, deadline=None)
 @given(symmetrized_st(), st.booleans())
@@ -408,11 +477,11 @@ def test_orbit_sums_match_every_branch(case, koszul_pairing):
     cmap = translate(p, koszul_pairing=koszul_pairing)
     found = {s: set(cls) for cls in cmap.classes for s in cls}
     assert all(found[c[0]] >= set(c) for c in classes)
-    for name in ("example1", "example5", "example8"):
+    for name in ("example1", "example4", "example5", "example6", "example8"):
         spec = builtin(name)
         if requires_coderivation(p) and not spec.differential:
             continue
-        for label in spec.labels_upto(3):
+        for label in spec.labels_upto(4):
             assert cmap.apply(spec, label) == naive_apply(cmap, spec, label), (
                 name, str(p), p.signature, koszul_pairing, label)
 
