@@ -85,7 +85,7 @@ class CheckReport:
 
     name: str
     passed: bool
-    checked: tuple  # ((family, lo, hi), ...) actually scanned
+    checked: tuple  # ((family, lo, hi), ...): the window; a failing scan stops early
     witnesses: tuple = ()
 
     def __post_init__(self):
@@ -105,6 +105,9 @@ class CheckReport:
 
 
 MAX_WITNESSES = 3
+
+# The rule attributes of a `CoalgebraSpec`: comultiplication, coderivation.
+_RULE_KINDS = ("delta", "coderivation")
 
 
 @dataclass(frozen=True)
@@ -134,24 +137,18 @@ class CoalgebraSpec:
             raise SpecError(f"duplicate family names in spec {self.name!r}")
         object.__setattr__(self, "families", fams)
         object.__setattr__(self, "_family_map", {f.name: f for f in fams})
-        delta = {}
-        for fam, terms in dict(self.delta).items():
-            self._require_family(fam)
-            terms = canonical_terms(terms)
-            for t in terms:
-                self._require_family(t.left_family)
-                self._require_family(t.right_family)
-            delta[fam] = terms
-        object.__setattr__(self, "delta", delta)
-        if self.coderivation is not None:
-            cod = {}
-            for fam, terms in dict(self.coderivation).items():
+        for kind in _RULE_KINDS:
+            rule = getattr(self, kind)
+            if rule is None:
+                continue
+            canonical = {}
+            for fam, terms in dict(rule).items():
                 self._require_family(fam)
-                terms = canonical_terms(terms)
+                canonical[fam] = terms = canonical_terms(terms)
                 for t in terms:
-                    self._require_family(t.family)
-                cod[fam] = terms
-            object.__setattr__(self, "coderivation", cod)
+                    for target, _ in t.targets():
+                        self._require_family(target)
+            object.__setattr__(self, kind, canonical)
         if self.shift_bound < 0:
             raise SpecError("shift_bound must be nonnegative")
         # Rule evaluation, step kind -> label -> ((key, c), ...) sorted,
@@ -171,21 +168,19 @@ class CoalgebraSpec:
 
     def _audit_parity_additive(self) -> bool:
         """True when every rule term respects parity additivity: the
-        factor parities of a delta term sum to the input family's parity
-        and the coderivation preserves parity.  This is a static rule
-        property; the coidentity evaluator may then prune terms that the
-        final parity projection is guaranteed to discard."""
-        for fam, terms in self.delta.items():
-            p = self.family(fam).parity
-            for t in terms:
-                q = self.family(t.left_family).parity + self.family(t.right_family).parity
-                if q % 2 != p:
-                    return False
-        if self.coderivation is not None:
-            for fam, terms in self.coderivation.items():
-                p = self.family(fam).parity
+        parities of a term's targets sum to its family's parity, so the
+        factor parities of a delta term add up and the coderivation
+        preserves parity.  This is a static rule property; the
+        coidentity evaluator may then prune terms that the final parity
+        projection is guaranteed to discard."""
+        parity = {f.name: f.parity for f in self.families}
+        for kind in _RULE_KINDS:
+            for fam, terms in (getattr(self, kind) or {}).items():
                 for t in terms:
-                    if self.family(t.family).parity != p:
+                    total = parity[fam]
+                    for target, _ in t.targets():
+                        total += parity[target]
+                    if total % 2:
                         return False
         return True
 
@@ -235,20 +230,17 @@ class CoalgebraSpec:
         Shift bounds and descriptions are engine metadata and are not
         compared.
         """
-        if self.families != other.families or self.graded != other.graded:
-            return False
-        if _nonempty(self.delta) != _nonempty(other.delta):
-            return False
-        if (self.coderivation is None) != (other.coderivation is None):
-            return False
-        if self.coderivation is not None and _nonempty(self.coderivation) != _nonempty(
-            other.coderivation
-        ):
-            return False
-        return True
+        return (
+            self.families == other.families
+            and self.graded == other.graded
+            and all(_nonempty(getattr(self, kind)) == _nonempty(getattr(other, kind))
+                    for kind in _RULE_KINDS)
+        )
 
 
-def _nonempty(rule: Mapping[str, tuple]) -> dict:
+def _nonempty(rule: Optional[Mapping[str, tuple]]) -> Optional[dict]:
+    if rule is None:
+        return None
     return {fam: terms for fam, terms in rule.items() if terms}
 
 
@@ -447,17 +439,14 @@ def coderivation_check(spec: CoalgebraSpec, max_index: int) -> CheckReport:
     )
 
 
-def cocommutativity_check(
-    spec: CoalgebraSpec, max_index: int, graded: Optional[bool] = None
-) -> CheckReport:
-    """Verify delta = flip . delta on a range; graded flip if requested."""
-    use_graded = spec.graded if graded is None else graded
+def cocommutativity_check(spec: CoalgebraSpec, max_index: int) -> CheckReport:
+    """Verify delta = flip . delta on a range; graded flip on a graded spec."""
 
     def residual(label):
         t = delta(spec, label)
-        return t - t.flip(1, graded=use_graded)
+        return t - t.flip(1, graded=spec.graded)
 
-    name = "cocommutativity" + (" (graded)" if use_graded else "")
+    name = "cocommutativity" + (" (graded)" if spec.graded else "")
     return scan(
         name, spec.checked_ranges(max_index), spec.labels_upto(max_index), residual
     )

@@ -3,7 +3,8 @@
 All outputs are materialized as rules in the same DSL, so constructed
 specs remain first-class inputs for every downstream check.  The DSL is
 closed under these constructions because coderivation rules are affine
-in the input index.
+in the input index.  Gelfand-Dorfman and both Kantor sides apply the
+coderivation to one factor of a delta term, always through `_d_at`.
 """
 from __future__ import annotations
 
@@ -22,40 +23,35 @@ def bar_family(name: str) -> str:
     return BAR + name
 
 
-def _d_terms(spec: CoalgebraSpec, family: str):
-    terms = spec.coderivation.get(family, ())
-    for t in terms:
-        if t.guard is not None:
+# The DeltaTerm fields of each factor: side 0 is the left, side 1 the right.
+_SIDES = (("left_family", "left_index"), ("right_family", "right_index"))
+
+
+def _d_at(spec: CoalgebraSpec, t: DeltaTerm, side: int):
+    """The terms of delta term `t` with the coderivation applied to its
+    factor `side`: (id (x) d) t for side 1, (d (x) id) t for side 0."""
+    family, index = t.targets()[side]
+    family_field, index_field = _SIDES[side]
+    for dt in spec.coderivation.get(family, ()):
+        if dt.guard is not None:
             raise SpecError(
                 "cannot compose a guarded coderivation rule into a new comultiplication"
             )
-    return terms
+        yield replace(t, coeff=t.coeff * dt.coeff.compose_n(index),
+                      **{family_field: dt.family, index_field: dt.index.compose(index)})
 
 
-def _compose_d(dt: DerivTerm, inner: AffineIndex):
-    """Apply a coderivation term to a factor whose index is `inner`."""
-    return dt.coeff.compose_n(inner), dt.family, dt.index.compose(inner)
+def _bar(t: DeltaTerm, *sides: int) -> DeltaTerm:
+    """`t` with the factors at `sides` moved to their bar families."""
+    return replace(t, **{_SIDES[s][0]: bar_family(t.targets()[s][0]) for s in sides})
 
 
 def gelfand_dorfman(spec: CoalgebraSpec) -> CoalgebraSpec:
     """New comultiplication (id (x) d) . delta; the coderivation is dropped."""
     if not spec.differential:
         raise SpecError("gelfand_dorfman requires a differential coalgebra")
-    new_delta: dict = {}
-    for fam, terms in spec.delta.items():
-        out = []
-        for t in terms:
-            for dt in _d_terms(spec, t.right_family):
-                coeff, target_fam, target_idx = _compose_d(dt, t.right_index)
-                out.append(
-                    replace(
-                        t,
-                        coeff=t.coeff * coeff,
-                        right_family=target_fam,
-                        right_index=target_idx,
-                    )
-                )
-        new_delta[fam] = tuple(out)
+    new_delta = {fam: tuple(u for t in terms for u in _d_at(spec, t, 1))
+                 for fam, terms in spec.delta.items()}
     return CoalgebraSpec(
         name=f"gelfand-dorfman({spec.name})",
         families=spec.families,
@@ -121,34 +117,13 @@ def kantor(spec: CoalgebraSpec) -> CoalgebraSpec:
     ]
     new_delta: dict = {}
     for fam, terms in spec.delta.items():
-        even_terms = []
-        odd_terms = []
+        even_terms, odd_terms = [], []
         for t in terms:
             even_terms.append(t)
-            for dt in _d_terms(spec, t.right_family):
-                coeff, tf, ti = _compose_d(dt, t.right_index)
-                even_terms.append(
-                    replace(
-                        t,
-                        coeff=t.coeff * coeff,
-                        left_family=bar_family(t.left_family),
-                        right_family=bar_family(tf),
-                        right_index=ti,
-                    )
-                )
-            for dt in _d_terms(spec, t.left_family):
-                coeff, tf, ti = _compose_d(dt, t.left_index)
-                even_terms.append(
-                    replace(
-                        t,
-                        coeff=-(t.coeff * coeff),
-                        left_family=bar_family(tf),
-                        left_index=ti,
-                        right_family=bar_family(t.right_family),
-                    )
-                )
-            odd_terms.append(replace(t, left_family=bar_family(t.left_family)))
-            odd_terms.append(replace(t, right_family=bar_family(t.right_family)))
+            even_terms.extend(_bar(u, 0, 1) for u in _d_at(spec, t, 1))
+            even_terms.extend(_bar(replace(u, coeff=-u.coeff), 0, 1)
+                              for u in _d_at(spec, t, 0))
+            odd_terms += [_bar(t, 0), _bar(t, 1)]
         new_delta[fam] = tuple(even_terms)
         new_delta[bar_family(fam)] = tuple(odd_terms)
     return CoalgebraSpec(
@@ -190,30 +165,30 @@ class GradedAlgebraSpec:
         for ((i, a), (j, b)), results in dict(self.products).items():
             self._check_pos(i, a)
             self._check_pos(j, b)
-            clean = []
-            for (k, c), coeff in results:
-                if k != i + j:
-                    raise SpecError(
-                        f"product of degrees {i} and {j} lands outside degree {i + j}"
-                    )
-                self._check_pos(k, c)
-                coeff = scalar(coeff)
-                if coeff:
-                    clean.append(((k, c), coeff))
-            products[((i, a), (j, b))] = tuple(clean)
+            products[((i, a), (j, b))] = self._clean(results, (i, j))
         object.__setattr__(self, "products", products)
         if self.derivation is not None:
             deriv = {}
             for (m, b), results in dict(self.derivation).items():
                 self._check_pos(m, b)
-                clean = []
-                for (k, c), coeff in results:
-                    self._check_pos(k, c)
-                    coeff = scalar(coeff)
-                    if coeff:
-                        clean.append(((k, c), coeff))
-                deriv[(m, b)] = tuple(clean)
+                deriv[(m, b)] = self._clean(results)
             object.__setattr__(self, "derivation", deriv)
+
+    def _clean(self, results, factors=None) -> tuple:
+        """The ((degree, position), coefficient) pairs of `results` with
+        each position checked and zero coefficients dropped.  A product
+        passes the degrees of its `factors`, whose sum each result must
+        have."""
+        clean = []
+        for (k, c), coeff in results:
+            if factors is not None and k != sum(factors):
+                i, j = factors
+                raise SpecError(f"product of degrees {i} and {j} lands outside degree {i + j}")
+            self._check_pos(k, c)
+            coeff = scalar(coeff)
+            if coeff:
+                clean.append(((k, c), coeff))
+        return tuple(clean)
 
     def _check_pos(self, degree: int, position: int):
         dim = self.dims.get(degree, 0)

@@ -385,7 +385,7 @@ def slot_classes(p: NAPoly) -> tuple:
 
     The signature is ignored.  That is sound because the nest evaluates
     identities ungraded and `bruteforce_identity` refuses a signature with
-    an odd slot.  A graded nest (ROADMAP item 2) may let only even slots
+    an odd slot.  A graded nest (ROADMAP item 4) may let only even slots
     join a class: swapping odd slots carries a Koszul sign.
     """
     plain = substitute_slots(p, {})

@@ -222,9 +222,6 @@ class FormalVector(_Combination):
         """Largest label index in the support; -1 for the zero vector."""
         return max((l.index for l in self._terms), default=-1)
 
-    def to_tensor(self) -> "FormalTensor":
-        return FormalTensor._merged({(k,): v for k, v in self._terms.items()}, ordered=True)
-
     def __str__(self) -> str:
         return format_terms((c, str(k)) for k, c in self._terms.items())
 

@@ -344,6 +344,10 @@ class DeltaTerm:
     sum_upper: Optional[int] = None
     guard: Optional[Guard] = None
 
+    def targets(self) -> tuple:
+        """The (family, index) of each factor the term produces."""
+        return (self.left_family, self.left_index), (self.right_family, self.right_index)
+
     def sort_key(self):
         return (
             (0,) if self.guard is None else (1,) + self.guard._key(),
@@ -380,6 +384,10 @@ class DerivTerm:
     def __post_init__(self):
         if self.coeff.uses_i() or self.index.i:
             raise SpecError("coderivation terms cannot use a summation index")
+
+    def targets(self) -> tuple:
+        """The (family, index) of the label the term produces."""
+        return ((self.family, self.index),)
 
     def sort_key(self):
         return (

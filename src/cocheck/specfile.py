@@ -7,6 +7,11 @@ coefficients are strings in the rule DSL ("n - i + 1"); summation terms
 carry "sum_to" with the upper bound "n + c"; guards are written
 {"mod": m, "rem": r} or {"eq": k}.  Syntax errors report line and
 column; schema errors report the offending key path.
+
+The two rule sections share one layout, a list of {"family", "terms"}
+entries.  `_SECTIONS` pairs each section's key, which is also the
+`CoalgebraSpec` field it fills, with its term reader and term writer;
+`spec_from_dict` and `spec_to_dict` both walk it.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import json
 from typing import Optional
 
 from .coalgebra import CoalgebraSpec, FamilyDecl
-from .errors import EngineError, SpecFileError
+from .errors import EngineError, SpecError, SpecFileError
 from .rules import (
     AffineIndex,
     DeltaTerm,
@@ -83,6 +88,12 @@ class _Reader:
             return self.child(self.data[key], f"{self.path}.{key}")
         return self.child(default, f"{self.path}.{key}")
 
+    def setting(self, key, read, default):
+        """The optional setting `key` read by `read`, or `default` when
+        it is absent or null."""
+        value = self.optional(key)
+        return default if value.data is None else read(value)
+
     def as_str(self):
         if not isinstance(self.data, str):
             self.fail("expected a string")
@@ -131,43 +142,31 @@ def spec_from_dict(data, source: str = "<dict>") -> CoalgebraSpec:
         except EngineError as exc:
             fam.fail(str(exc))
 
-    delta = {}
-    for entry in root.require("delta").as_list():
-        entry.as_dict()
-        fam = entry.require("family").as_str()
-        terms = [_read_delta_term(t) for t in entry.require("terms").as_list()]
-        delta.setdefault(fam, []).extend(terms)
+    rules = {}  # only "delta" is required
+    for key, read_term, _ in _SECTIONS:
+        if key == "delta" or key in root.data:
+            rule = rules[key] = {}
+            for entry in root.require(key).as_list():
+                entry.as_dict()
+                fam = entry.require("family").as_str()
+                terms = [read_term(t) for t in entry.require("terms").as_list()]
+                rule.setdefault(fam, []).extend(terms)
 
-    coderivation = None
-    if isinstance(root.data, dict) and "coderivation" in root.data:
-        coderivation = {}
-        for entry in root.require("coderivation").as_list():
-            entry.as_dict()
-            fam = entry.require("family").as_str()
-            terms = [_read_deriv_term(t) for t in entry.require("terms").as_list()]
-            coderivation.setdefault(fam, []).extend(terms)
-
-    shift = root.optional("shift_bound", 0)
-    shift_bound = shift.as_int() if shift.data is not None else 0
-    graded = root.optional("graded", False)
-    graded_flag = graded.as_bool() if graded.data is not None else False
-    d_max = root.optional("coderivation_max_index", None)
-    d_max_val = d_max.as_int() if d_max.data is not None else None
-    name = root.optional("name", None)
-    name_val = name.as_str() if name.data is not None else source
-    desc = root.optional("description", None)
-    desc_val = desc.as_str() if desc.data is not None else ""
-
+    # Read before the `try` below: it re-keys every error at "$".
+    shift_bound = root.setting("shift_bound", _Reader.as_int, 0)
+    graded = root.setting("graded", _Reader.as_bool, False)
+    d_max = root.setting("coderivation_max_index", _Reader.as_int, None)
+    name = root.setting("name", _Reader.as_str, source)
+    description = root.setting("description", _Reader.as_str, "")
     try:
         return CoalgebraSpec(
-            name=name_val,
+            name=name,
             families=tuple(families),
-            delta=delta,
-            coderivation=coderivation,
             shift_bound=shift_bound,
-            graded=graded_flag,
-            coderivation_max_index=d_max_val,
-            description=desc_val,
+            graded=graded,
+            coderivation_max_index=d_max,
+            description=description,
+            **rules,
         )
     except EngineError as exc:
         raise SpecFileError(str(exc), key="$") from None
@@ -177,10 +176,13 @@ def _read_guard(reader) -> Optional[Guard]:
     if reader.data is None:
         return None
     reader.as_dict()
-    if "eq" in reader.data:
-        return Guard.eq(reader.require("eq").as_int())
-    if "mod" in reader.data:
-        return Guard.mod(reader.require("mod").as_int(), reader.require("rem").as_int())
+    try:
+        if "eq" in reader.data:
+            return Guard.eq(reader.require("eq").as_int())
+        if "mod" in reader.data:
+            return Guard.mod(reader.require("mod").as_int(), reader.require("rem").as_int())
+    except SpecError as exc:
+        reader.fail(str(exc))
     reader.fail('guard must carry "eq" or "mod"/"rem"')
 
 
@@ -219,11 +221,15 @@ def _read_sum_to(reader) -> Optional[int]:
     return affine.const
 
 
-def _read_delta_term(reader) -> DeltaTerm:
+def _require_term_keys(reader, section: str, keys: tuple) -> None:
     reader.as_dict()
     for key in reader.data:
-        if key not in ("coeff", "left", "right", "sum_to", "when"):
-            _Reader(None, f"{reader.path}.{key}").fail("unknown key in delta term")
+        if key not in keys:
+            reader.child(None, f"{reader.path}.{key}").fail(f"unknown key in {section} term")
+
+
+def _read_delta_term(reader) -> DeltaTerm:
+    _require_term_keys(reader, "delta", ("coeff", "left", "right", "sum_to", "when"))
     lf, li = _read_pair(reader.require("left"))
     rf, ri = _read_pair(reader.require("right"))
     return DeltaTerm(
@@ -238,19 +244,13 @@ def _read_delta_term(reader) -> DeltaTerm:
 
 
 def _read_deriv_term(reader) -> DerivTerm:
-    reader.as_dict()
-    for key in reader.data:
-        if key not in ("coeff", "target", "when"):
-            _Reader(None, f"{reader.path}.{key}").fail("unknown key in coderivation term")
+    _require_term_keys(reader, "coderivation", ("coeff", "target", "when"))
     fam, idx = _read_pair(reader.require("target"))
+    coeff = _read_poly(reader.require("coeff"))
+    guard = _read_guard(reader.optional("when"))
     try:
-        return DerivTerm(
-            coeff=_read_poly(reader.require("coeff")),
-            family=fam,
-            index=idx,
-            guard=_read_guard(reader.optional("when")),
-        )
-    except EngineError as exc:
+        return DerivTerm(coeff=coeff, family=fam, index=idx, guard=guard)
+    except SpecError as exc:
         reader.fail(str(exc))
 
 
@@ -275,26 +275,18 @@ def spec_to_dict(spec: CoalgebraSpec) -> dict:
             for f in spec.families
         ],
         "shift_bound": spec.shift_bound,
-        "delta": [
-            {
-                "family": fam,
-                "terms": [_delta_term_to_json(t) for t in terms],
-            }
-            for fam, terms in sorted(spec.delta.items())
-        ],
     }
+    for key, _, write_term in _SECTIONS:
+        rule = getattr(spec, key)
+        if rule is not None:
+            out[key] = [
+                {"family": fam, "terms": [write_term(t) for t in terms]}
+                for fam, terms in sorted(rule.items())
+            ]
     if spec.graded:
         out["graded"] = True
     if spec.description:
         out["description"] = spec.description
-    if spec.coderivation is not None:
-        out["coderivation"] = [
-            {
-                "family": fam,
-                "terms": [_deriv_term_to_json(t) for t in terms],
-            }
-            for fam, terms in sorted(spec.coderivation.items())
-        ]
     if spec.coderivation_max_index is not None:
         out["coderivation_max_index"] = spec.coderivation_max_index
     return out
@@ -321,3 +313,10 @@ def _deriv_term_to_json(t: DerivTerm) -> dict:
     if t.guard is not None:
         out["when"] = _guard_to_json(t.guard)
     return out
+
+
+# The rule sections: (key and `CoalgebraSpec` field, term reader, term writer).
+_SECTIONS = (
+    ("delta", _read_delta_term, _delta_term_to_json),
+    ("coderivation", _read_deriv_term, _deriv_term_to_json),
+)

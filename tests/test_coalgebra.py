@@ -31,7 +31,7 @@ from cocheck import (
 )
 from cocheck import coalgebra
 from cocheck.coalgebra import _int_terms, d_label, scan
-from cocheck.rules import Guard, delta_term, deriv_term
+from cocheck.rules import AffineIndex, Guard, delta_term, deriv_term
 from conftest import vec
 
 
@@ -584,8 +584,9 @@ class TestCocommutativity:
 
     def test_example7_graded_passes_plain_fails(self, specs):
         ex7 = specs["example7"]
-        assert cocommutativity_check(ex7, 20, graded=True).passed
-        assert not cocommutativity_check(ex7, 20, graded=False).passed
+        assert ex7.graded and cocommutativity_check(ex7, 20).passed
+        plain = dataclasses.replace(ex7, graded=False)
+        assert not cocommutativity_check(plain, 20).passed
 
     def test_example4_passes(self, specs):
         assert cocommutativity_check(specs["example4"], 50).passed
@@ -627,6 +628,39 @@ class TestShiftBound:
     @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 10)])
     def test_all_builtins_validate(self, specs, name):
         assert validate_shift_bound(specs[name], 40).passed
+
+
+MIXED = (FamilyDecl("u"), FamilyDecl("v", parity=1))
+
+
+def test_targets_name_each_produced_factor():
+    t = delta_term(1, ("u", "i"), ("v", "n - i"), sum_upper=0)
+    assert t.targets() == (("u", AffineIndex(i=1)), ("v", AffineIndex(n=1, i=-1)))
+    assert deriv_term(1, ("v", "n + 1")).targets() == (("v", AffineIndex(n=1, const=1)),)
+
+
+class TestParityAudit:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: builtin("example7"), id="example7"),
+        pytest.param(lambda: builtin("example8"), id="example8"),
+        pytest.param(lambda: kantor(builtin("example1")), id="kantor(example1)"),
+        pytest.param(lambda: kantor(builtin("example4")), id="kantor(example4)"),
+    ])
+    def test_super_coalgebras_are_parity_additive(self, make):
+        assert make().parity_additive
+
+    def test_delta_term_whose_factor_parities_do_not_add_up(self):
+        odd_sum = delta_term(1, ("u", "n"), ("v", "n"))
+        assert CoalgebraSpec(name="ok", families=MIXED, delta={"v": [odd_sum]}).parity_additive
+        bad = CoalgebraSpec(name="bad", families=MIXED, delta={"u": [odd_sum]})
+        assert not bad.parity_additive
+
+    def test_coderivation_from_an_even_to_an_odd_family(self):
+        to_odd = deriv_term(1, ("v", "n"))
+        ok = CoalgebraSpec(name="ok", families=MIXED, delta={}, coderivation={"v": [to_odd]})
+        assert ok.parity_additive
+        bad = CoalgebraSpec(name="bad", families=MIXED, delta={}, coderivation={"u": [to_odd]})
+        assert not bad.parity_additive
 
 
 class TestSpecValidation:

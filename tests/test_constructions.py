@@ -152,7 +152,7 @@ class TestKantor:
         cat = builtin_identities()
         for name in ("example7", "example8"):
             spec = builtin(name)
-            assert cocommutativity_check(spec, 30, graded=True).passed
+            assert spec.graded and cocommutativity_check(spec, 30).passed
             assert check_identity(spec, cat["supercommutativity"], 30).passed
             assert check_identity(
                 spec, cat["jordan-linearized"].with_signature("eeee"), 30

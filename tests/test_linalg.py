@@ -24,6 +24,11 @@ OD1 = lab("~f", 1, parity=1)
 OD2 = lab("~f", 2, parity=1)
 
 
+def as_tensor(v):
+    """The arity-1 tensor with the terms of the vector v."""
+    return FormalTensor(1, {(label,): c for label, c in v.items()})
+
+
 labels_st = st.sampled_from([E, F1, F2, X0, X1, X2])
 coeff_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -73,7 +78,7 @@ class TestAdd:
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
-            ten(((E, E), 1)) + vec((E, 1)).to_tensor()
+            ten(((E, E), 1)) + FormalTensor(1, {(E,): 1})
 
 
 def _tensors(n):
@@ -171,15 +176,15 @@ class TestCombinationArithmetic:
 
 class TestTensorProduct:
     def test_bilinearity(self):
-        left = FormalVector({F1: 1, E: 1}).to_tensor()
-        right = FormalVector({E: 1}).to_tensor()
+        left = FormalTensor(1, {(F1,): 1, (E,): 1})
+        right = FormalTensor(1, {(E,): 1})
         assert left.tensor(right) == ten(((F1, E), 1), ((E, E), 1))
 
     def test_zero_annihilates(self):
-        assert not FormalTensor(1).tensor(vec((E, 1)).to_tensor())
+        assert not FormalTensor(1).tensor(FormalTensor(1, {(E,): 1}))
 
     def test_scalar_product(self):
-        t = vec((X0, 2)).to_tensor().tensor(vec((X1, 3)).to_tensor())
+        t = FormalTensor(1, {(X0,): 2}).tensor(FormalTensor(1, {(X1,): 3}))
         assert t == ten(((X0, X1), 6))
 
 
@@ -285,7 +290,7 @@ class TestExtractComponents:
         for side in ("left", "right"):
             total = FormalTensor(2)
             for a, b in extract_components(t, side):
-                total = total + a.to_tensor().tensor(b.to_tensor())
+                total = total + as_tensor(a).tensor(as_tensor(b))
             assert total == t
 
     @given(tensors_st)
@@ -318,7 +323,7 @@ class TestExtractComponents:
         )
         t = FormalTensor(2)
         for i, j, c in coeffs:
-            t = t + basis[i].to_tensor().tensor(basis[j].to_tensor()).scale(c)
+            t = t + as_tensor(basis[i]).tensor(as_tensor(basis[j])).scale(c)
         # A reduced-echelon row is 1 at its own pivot and 0 at the others,
         # so a vector of the span is the sum of its pivot coefficients
         # times the rows.

@@ -3,15 +3,22 @@ import json
 import pytest
 
 from cocheck import (
+    CoalgebraSpec,
+    FamilyDecl,
     SpecFileError,
+    antisymmetrize,
     builtin,
     delta,
     dumps_spec,
+    gelfand_dorfman,
     graded_dual,
+    kantor,
     load_spec,
     loads_spec,
     save_spec,
 )
+from cocheck.rules import Guard, delta_term, deriv_term
+from cocheck.specfile import spec_from_dict
 
 NAMES = [f"example{k}" for k in range(1, 10)]
 
@@ -200,3 +207,201 @@ def test_error_in_a_repeated_expression_names_its_own_path():
     with pytest.raises(SpecFileError) as err:
         loads_spec(text)
     assert err.value.key == "$.delta[0].terms[2].right[1]"
+
+
+# One family with one term in each rule section; `doc_with` edits the
+# term of one section.
+BASE_TERMS = {
+    "delta": {"coeff": "1", "left": ["u", "i"], "right": ["u", "n - i"], "sum_to": "n"},
+    "coderivation": {"coeff": "n + 1", "target": ["u", "n + 1"]},
+}
+
+
+def doc_with(section=None, **changes):
+    data = {"field": "Q", "families": [{"name": "u", "range": [0, None]}]}
+    for key, term in BASE_TERMS.items():
+        term = dict(term, **changes) if key == section else term
+        data[key] = [{"family": "u", "terms": [term]}]
+    return data
+
+
+def load_error(data) -> SpecFileError:
+    with pytest.raises(SpecFileError) as err:
+        spec_from_dict(data)
+    return err.value
+
+
+class TestCoderivationSection:
+    def test_base_document_loads(self):
+        spec = spec_from_dict(doc_with())
+        assert spec.differential and str(spec.coderivation["u"][0]) == "n + 1 * u[n + 1]"
+
+    def test_unknown_term_key(self):
+        err = load_error(doc_with("coderivation", bogus=1))
+        assert err.key == "$.coderivation[0].terms[0].bogus"
+        assert str(err).startswith("unknown key in coderivation term ")
+
+    def test_undeclared_target_family(self):
+        err = load_error(doc_with("coderivation", target=["w", "n"]))
+        assert err.key == "$"
+        assert "does not declare family 'w'" in str(err)
+
+    @pytest.mark.parametrize("changes", [{"coeff": "i"}, {"target": ["u", "n - i"]}])
+    def test_summation_index_in_a_term(self, changes):
+        err = load_error(doc_with("coderivation", **changes))
+        assert err.key == "$.coderivation[0].terms[0]"
+        assert str(err).startswith("coderivation terms cannot use a summation index ")
+
+    def test_null_section(self):
+        data = doc_with()
+        data["coderivation"] = None
+        err = load_error(data)
+        assert err.key == "$.coderivation"
+        assert str(err).startswith("expected a list ")
+
+    def test_absent_section_means_no_coderivation(self):
+        data = doc_with()
+        del data["coderivation"]
+        assert not spec_from_dict(data).differential
+
+
+@pytest.mark.parametrize("section", ["delta", "coderivation"])
+@pytest.mark.parametrize("field, value", [
+    pytest.param("coeff", "n^", id="bad-coeff"),
+    pytest.param("when", {}, id="empty-guard"),
+    pytest.param("when", {"mod": 1, "rem": 0}, id="invalid-guard"),
+])
+def test_term_error_names_its_key_once(section, field, value):
+    err = load_error(doc_with(section, **{field: value}))
+    assert err.key == f"$.{section}[0].terms[0].{field}"
+    assert str(err).count("(key ") == 1
+
+
+CONSTRUCTED = {
+    **{name: (lambda name=name: builtin(name)) for name in NAMES},
+    **{
+        f"{c.__name__}({name})": (lambda c=c, name=name: c(builtin(name)))
+        for c in (gelfand_dorfman, kantor)
+        for name in ("example1", "example4")
+    },
+    **{
+        f"antisymmetrize({name})": (lambda name=name: antisymmetrize(builtin(name)))
+        for name in ("example2", "example5", "example7", "example8")
+    },
+    "graded_dual(fx-diff-algebra)": lambda: graded_dual(
+        builtin("fx-diff-algebra", horizon=12), horizon=12
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_dump_of_a_loaded_dump_is_the_same_text(name):
+    text = dumps_spec(CONSTRUCTED[name]())
+    assert dumps_spec(loads_spec(text)) == text
+
+
+# Reports record the sha256 of the spec file they read, so these bytes
+# are part of the format.
+FORMAT_TEXT = """\
+{
+  "coderivation": [
+    {
+      "family": "e",
+      "terms": []
+    },
+    {
+      "family": "u",
+      "terms": [
+        {
+          "coeff": "-n",
+          "target": [
+            "u",
+            "n + 1"
+          ],
+          "when": {
+            "eq": 3
+          }
+        }
+      ]
+    }
+  ],
+  "coderivation_max_index": 9,
+  "delta": [
+    {
+      "family": "u",
+      "terms": [
+        {
+          "coeff": "n - i",
+          "left": [
+            "u",
+            "i + 1"
+          ],
+          "right": [
+            "u",
+            "n - i - 1"
+          ],
+          "sum_to": "n - 2"
+        },
+        {
+          "coeff": "1/2",
+          "left": [
+            "e",
+            "0"
+          ],
+          "right": [
+            "u",
+            "n"
+          ],
+          "when": {
+            "mod": 2,
+            "rem": 1
+          }
+        }
+      ]
+    }
+  ],
+  "description": "every key of the format",
+  "families": [
+    {
+      "name": "e",
+      "parity": 0,
+      "range": [
+        0,
+        0
+      ]
+    },
+    {
+      "name": "u",
+      "parity": 1,
+      "range": [
+        1,
+        null
+      ]
+    }
+  ],
+  "field": "Q",
+  "graded": true,
+  "name": "format",
+  "shift_bound": 1
+}
+"""
+
+
+def test_dump_text_of_every_key():
+    spec = CoalgebraSpec(
+        name="format",
+        families=(FamilyDecl("e", hi=0), FamilyDecl("u", parity=1, lo=1)),
+        delta={
+            "u": [
+                delta_term("n - i", ("u", "i + 1"), ("u", "n - i - 1"), sum_upper=-2),
+                delta_term("1/2", ("e", 0), ("u", "n"), guard=Guard.mod(2, 1)),
+            ],
+        },
+        coderivation={"e": [], "u": [deriv_term("-n", ("u", "n + 1"), guard=Guard.eq(3))]},
+        shift_bound=1,
+        graded=True,
+        coderivation_max_index=9,
+        description="every key of the format",
+    )
+    assert dumps_spec(spec) == FORMAT_TEXT
+    assert dumps_spec(loads_spec(FORMAT_TEXT)) == FORMAT_TEXT
