@@ -185,7 +185,11 @@ class GradedAlgebraSpec:
                 i, j = factors
                 raise SpecError(f"product of degrees {i} and {j} lands outside degree {i + j}")
             self._check_pos(k, c)
-            coeff = scalar(coeff)
+            try:
+                coeff = scalar(coeff)
+            except (ValueError, TypeError, ZeroDivisionError):
+                raise SpecError(f"coefficient {coeff!r} at position {c} of degree {k} "
+                                "is not a rational number") from None
             if coeff:
                 clean.append(((k, c), coeff))
         return tuple(clean)

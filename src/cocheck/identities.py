@@ -299,6 +299,8 @@ class CoidentityMap:
       ("permute", perm, pairs)    factor k becomes factor perm[k], with the
                                   Koszul sign of `pairs` (none when plain)
       ("project", signature)      keep terms whose parities match the signature
+    A branch may end in one permute step, then one project step; these
+    may stand nowhere else, and any other step raises `SpecError`.
 
     The req annotations are the parities each produced block must
     eventually have to survive the final projection (None when
@@ -332,10 +334,14 @@ class CoidentityMap:
     `Fraction`s.  With singleton classes each tail group is its own
     coset and each key its own orbit.
 
-    The canonical key of a tail group is one function, compiled once
-    per permute step (`_sorting_key`): it reads each class's labels
+    Each permute step is compiled once into the `(key, pairs, signs)`
+    that `permute_terms` runs for its tail groups, the one place a
+    tail's permutation is handled.  With slot classes the key is the
+    canonical key (`_sorting_key`): it reads each class's labels
     straight from the unpermuted key, sorts them by compare-exchange
-    (by `sorted` past three) and adds the singleton slots.  A streamed
+    (by `sorted` past three) and adds the singleton slots.  Without,
+    it is the plain reordering.  The Koszul sign is read on the
+    unpermuted key, at the step's reversed pairs.  A streamed
     leaf whose untouched input positions fall, under each of its tail
     groups, two or more into one class carries these positions as
     `groups` (1-based) and a `merge` key that sorts them; the walk
@@ -348,9 +354,11 @@ class CoidentityMap:
     branches: tuple  # ((coeff, (step, ...)), ...)
     classes: tuple = field(init=False)
     plan: tuple = field(init=False, repr=False, compare=False)
-    # permute step (None for the identity) -> (take, pairs, key, signs)
-    # for `permute_terms`, with take and pairs in the class-major layout
-    # and key the compiled orbit key (None with singleton classes)
+    # permute step (None for the identity) -> (key, pairs, signs) for
+    # `permute_terms`: key maps an unpermuted key to its orbit key (the
+    # compiled orbit key with slot classes, else the reordering, None for
+    # the identity), and pairs are the step's reversed pairs placed on the
+    # unpermuted key, where the Koszul sign is read
     _tails: dict = field(init=False, repr=False, compare=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
     _segments: tuple = field(init=False, repr=False, compare=False)
@@ -364,11 +372,13 @@ class CoidentityMap:
             permute = steps.pop() if steps and steps[-1][0] == "permute" else None
             node = root
             for step in steps:
+                if step[0] not in ("delta", "d"):
+                    raise SpecError(f"coidentity step {step!r} is not a delta or d step: "
+                                    "permute and project may only end a branch")
                 node = node[0].setdefault(step, ({}, {}))
             accumulate(node[1], [((permute, project), coeff)])
         classes = _slot_classes(self.arity, list(_tail_dicts(root)))
         layout = tuple(s - 1 for cls in classes for s in cls)
-        where = {j: i for i, j in enumerate(layout)}
         segments, lo = [], 0
         for cls in classes:
             if len(cls) > 1:
@@ -396,16 +406,17 @@ class CoidentityMap:
                     continue
                 reps[coset] = (permute, project, integral(c))
                 if permute not in compiled:
-                    pairs = tuple((where[a], where[b]) for a, b in permute[2]) if permute else ()
-                    key = (_sorting_key(take, tuple(range(lo, hi) for lo, hi in segments))
-                           if segments else None)
-                    compiled[permute] = (
-                        None if take == identity and not pairs else take, pairs, key, {})
+                    if segments:
+                        key = _sorting_key(take, tuple(range(lo, hi) for lo, hi in segments))
+                    else:
+                        key = None if take == identity else itemgetter(*take)
+                    pairs = tuple((perm[a], perm[b]) for a, b in permute[2]) if permute else ()
+                    compiled[permute] = (key, pairs, {})
             frozen = _Node((
                 tuple((s, freeze(child, s)) for s, child in children.items()),
                 tuple(reps.values()),
             ))
-            if class_of and step is not None and not children and step[0] in _RULE_STEPS:
+            if class_of and step is not None and not children:
                 groups = _leaf_groups(step, self.arity, [r[0] for r in frozen[1]], class_of)
                 if groups:
                     frozen.groups = tuple(tuple(j + 1 for j in g) for g in groups)
@@ -426,8 +437,9 @@ class CoidentityMap:
         out: dict = {}
         for project, s in sums.items():
             if project is not None:
-                laid_out = tuple(project[1][j] for j in self._layout)
-                s = _apply_step(spec, s, ("project", laid_out), False)
+                sig = [(i, project[1][j]) for i, j in enumerate(self._layout)
+                       if project[1][j] is not None]
+                s = {k: c for k, c in s.items() if all(k[i].parity == p for i, p in sig)}
             if s:
                 accumulate(out, self._expand(s))
         return FormalTensor._merged(out, arity=self.arity)
@@ -437,8 +449,8 @@ class CoidentityMap:
         self._run_tails(tails, t.items(), sums)
         for step, child in children:
             grandchildren, child_tails = child
-            if grandchildren or step[0] not in _RULE_STEPS:
-                u = _apply_step(spec, t, step, prune)
+            if grandchildren:
+                u = accumulate({}, _rule_terms(spec, t, step, prune))
                 if u:
                     self._walk(spec, child, u, prune, sums)
                 continue
@@ -451,8 +463,8 @@ class CoidentityMap:
     def _run_tails(self, tails, items, sums: dict) -> None:
         """Sum the (key, c) pairs `items` into the orbit sums of each tail group."""
         for permute, project, coeff in tails:
-            take, pairs, key, signs = self._tails[permute]
-            permute_terms(items, take, pairs, sums.setdefault(project, {}), coeff, key, signs)
+            key, pairs, signs = self._tails[permute]
+            permute_terms(items, key, pairs, sums.setdefault(project, {}), coeff, signs)
 
     def _expand(self, sums: dict):
         """The (key, coefficient) pairs of the full result: every key k of
@@ -553,25 +565,6 @@ def _step_name(step) -> str:
         sig = "".join("*" if p is None else ("o" if p else "e") for p in step[1])
         return f"project[{sig}]"
     return f"{step[0]}@{step[1]}"
-
-
-_RULE_STEPS = ("delta", "d")
-
-
-def _apply_step(spec, t: dict, step, prune: bool) -> dict:
-    kind = step[0]
-    if kind == "permute":
-        return permute_terms(t.items(), step[1], step[2])
-    if kind == "project":
-        sig = step[1]
-        return {
-            key: c
-            for key, c in t.items()
-            if all(p is None or key[j].parity == p for j, p in enumerate(sig))
-        }
-    if kind in _RULE_STEPS:
-        return accumulate({}, _rule_terms(spec, t, step, prune))
-    raise SpecError(f"unknown coidentity step {step!r}")
 
 
 def _rule_terms(spec, t: dict, step, prune: bool):

@@ -16,8 +16,9 @@ because `perfbench/tracer.py` wraps them by name from a class's `vars()`.
 Every sparse sum in the engine, from vector addition to the coidentity
 steps and the Grassmann envelope products, is merged by `accumulate`,
 the single place that adds coefficients into a dict and drops the zeros.
-One loop inlines its adding: `permute_terms`, fused with a reordering of
-the keys.  It is the loop of every tail group of the coidentity plan
+One loop inlines its adding: `permute_terms`, fused with a map of the
+keys by a key function, a reordering (`itemgetter`) or a coidentity
+orbit key.  It is the loop of every tail group of the coidentity plan
 (`CoidentityMap._run_tails`), and the plan's leaf steps stream their
 unmerged terms straight into it.  Results that are already merged are
 wrapped by the private `_merged(acc, ordered=False, arity=1)`, which
@@ -272,9 +273,9 @@ class FormalTensor(_Combination):
             )
         perm = list(range(self._arity))
         perm[position - 1 : position + 1] = position, position - 1
-        pairs = inversions(perm) if graded else ()
+        pairs = ((position - 1, position),) if graded else ()
         return FormalTensor._merged(
-            permute_terms(self._terms.items(), perm, pairs), arity=self._arity
+            permute_terms(self._terms.items(), itemgetter(*perm), pairs), arity=self._arity
         )
 
     def max_index(self) -> int:
@@ -309,28 +310,23 @@ def koszul_sign(parities, pairs) -> int:
 _PARITY = attrgetter("parity")
 
 
-def permute_terms(items, perm, pairs, acc=None, coeff=1, key=None, signs=None) -> dict:
+def permute_terms(items, key, pairs, acc=None, coeff=1, signs=None) -> dict:
     """Add the (key, coeff) pairs of `items` into `acc` (a new dict when
-    None) and return it, every key permuted by `perm` (of at least two
-    factors; None keeps the order) and each coefficient times the Koszul
-    sign of `pairs`, result positions: `inversions(perm)` for a graded
-    reordering, () for a plain one.  In the same loop every coefficient
-    is scaled by `coeff`; the adding is `accumulate`'s, inlined, since
-    this is the hottest loop of the coidentity evaluator.  A `key`
-    function, when given, maps each key to its new key in place of the
-    reordering by `perm`, which then only places the signs: the
-    coidentity plan's tail groups map a key straight to the key of its
-    orbit.
+    None) and return it, every key mapped by the function `key` (None
+    keeps it) and each coefficient times the Koszul sign of `pairs`.  In
+    the same loop every coefficient is scaled by `coeff`; the adding is
+    `accumulate`'s, inlined, since this is the hottest loop of the
+    coidentity evaluator.  `key` is a reordering such as
+    `itemgetter(*perm)`, or, in the coidentity plan's tail groups, a
+    function that maps a key straight to the key of its orbit.
 
-    The sign depends only on the factor parities of a key, so it is
-    read on the key before it is mapped, with `pairs` moved to those
-    positions, and computed once per parity pattern, at most
-    2**len(perm) times; a caller that permutes by the same perm and
-    pairs again may pass one `signs` dict to keep these across calls."""
-    if key is None and perm:
-        key = itemgetter(*perm)
-    if pairs:
-        pairs = tuple((perm[a], perm[b]) for a, b in pairs)
+    `pairs` are the positions, in the key before it is mapped, of the
+    factor pairs whose order the reordering reverses: (perm[a], perm[b])
+    for the result positions (a, b) of `inversions(perm)` when graded,
+    () when plain.  The sign depends only on the factor parities of a
+    key, so it is computed once per parity pattern, at most 2**arity
+    times; a caller that maps by the same key and pairs again may pass
+    one `signs` dict to keep these across calls."""
     if acc is None:
         acc = {}
     if signs is None:

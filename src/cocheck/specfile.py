@@ -5,8 +5,10 @@ Top-level keys: `field` (must be "Q"), `families`, `delta`, optional
 `coderivation_max_index`, `description`.  Index expressions and
 coefficients are strings in the rule DSL ("n - i + 1"); summation terms
 carry "sum_to" with the upper bound "n + c"; guards are written
-{"mod": m, "rem": r} or {"eq": k}.  Syntax errors report line and
-column; schema errors report the offending key path.
+{"mod": m, "rem": r} or {"eq": k}, never both.  Every object accepts
+only its own keys (`_Reader.only_keys`), so a misspelled key is an error
+at its key path, not a setting silently dropped.  Syntax errors report
+line and column; schema errors report the offending key path.
 
 The two rule sections share one layout, a list of {"family", "terms"}
 entries.  `_SECTIONS` pairs each section's key, which is also the
@@ -114,22 +116,26 @@ class _Reader:
             self.fail("expected a list")
         return [self.child(item, f"{self.path}[{idx}]") for idx, item in enumerate(self.data)]
 
-    def as_dict(self):
+    def only_keys(self, keys: tuple, what: str) -> None:
+        """Require an object whose keys are all among `keys`; an unknown
+        key fails at its own key path, as an unknown key in `what`."""
         if not isinstance(self.data, dict):
             self.fail("expected an object")
-        return self.data
+        for key in self.data:
+            if key not in keys:
+                self.child(None, f"{self.path}.{key}").fail(f"unknown key in {what}")
 
 
 def spec_from_dict(data, source: str = "<dict>") -> CoalgebraSpec:
     root = _Reader(data, "$")
-    root.as_dict()
+    root.only_keys(_ROOT_KEYS, "spec")
     field = root.require("field").as_str()
     if field != FORMAT_FIELD:
         root.require("field").fail(f'field must be "{FORMAT_FIELD}"')
 
     families = []
     for fam in root.require("families").as_list():
-        fam.as_dict()
+        fam.only_keys(("name", "parity", "range"), "family")
         name = fam.require("name").as_str()
         parity = fam.optional("parity", 0).as_int()
         rng = fam.require("range").as_list()
@@ -147,7 +153,7 @@ def spec_from_dict(data, source: str = "<dict>") -> CoalgebraSpec:
         if key == "delta" or key in root.data:
             rule = rules[key] = {}
             for entry in root.require(key).as_list():
-                entry.as_dict()
+                entry.only_keys(("family", "terms"), f"{key} entry")
                 fam = entry.require("family").as_str()
                 terms = [read_term(t) for t in entry.require("terms").as_list()]
                 rule.setdefault(fam, []).extend(terms)
@@ -175,7 +181,9 @@ def spec_from_dict(data, source: str = "<dict>") -> CoalgebraSpec:
 def _read_guard(reader) -> Optional[Guard]:
     if reader.data is None:
         return None
-    reader.as_dict()
+    reader.only_keys(("eq", "mod", "rem"), "guard")
+    if "eq" in reader.data and len(reader.data) > 1:
+        reader.fail('guard must carry "eq" or "mod"/"rem", not both')
     try:
         if "eq" in reader.data:
             return Guard.eq(reader.require("eq").as_int())
@@ -221,15 +229,8 @@ def _read_sum_to(reader) -> Optional[int]:
     return affine.const
 
 
-def _require_term_keys(reader, section: str, keys: tuple) -> None:
-    reader.as_dict()
-    for key in reader.data:
-        if key not in keys:
-            reader.child(None, f"{reader.path}.{key}").fail(f"unknown key in {section} term")
-
-
 def _read_delta_term(reader) -> DeltaTerm:
-    _require_term_keys(reader, "delta", ("coeff", "left", "right", "sum_to", "when"))
+    reader.only_keys(("coeff", "left", "right", "sum_to", "when"), "delta term")
     lf, li = _read_pair(reader.require("left"))
     rf, ri = _read_pair(reader.require("right"))
     return DeltaTerm(
@@ -244,7 +245,7 @@ def _read_delta_term(reader) -> DeltaTerm:
 
 
 def _read_deriv_term(reader) -> DerivTerm:
-    _require_term_keys(reader, "coderivation", ("coeff", "target", "when"))
+    reader.only_keys(("coeff", "target", "when"), "coderivation term")
     fam, idx = _read_pair(reader.require("target"))
     coeff = _read_poly(reader.require("coeff"))
     guard = _read_guard(reader.optional("when"))
@@ -314,6 +315,10 @@ def _deriv_term_to_json(t: DerivTerm) -> dict:
         out["when"] = _guard_to_json(t.guard)
     return out
 
+
+# The keys a spec document may carry at its root.
+_ROOT_KEYS = ("field", "families", "delta", "coderivation", "shift_bound", "name", "graded",
+              "coderivation_max_index", "description")
 
 # The rule sections: (key and `CoalgebraSpec` field, term reader, term writer).
 _SECTIONS = (

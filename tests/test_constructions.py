@@ -238,6 +238,13 @@ class TestGradedDual:
                 products={((0, 0), (1, 0)): (((0, 0), 1),)},
             )
 
+    @pytest.mark.parametrize("coeff", ["x", "1/0", None])
+    def test_non_numeric_coefficient_rejected(self, coeff):
+        with pytest.raises(SpecError, match="at position 0 of degree 0 is not a rational"):
+            GradedAlgebraSpec("a", {0: 1}, {((0, 0), (0, 0)): (((0, 0), coeff),)})
+        with pytest.raises(SpecError, match="at position 0 of degree 1 is not a rational"):
+            GradedAlgebraSpec("a", {0: 1, 1: 1}, {}, derivation={(0, 0): (((1, 0), coeff),)})
+
     def test_coderivation_window_is_explicit(self):
         fx = builtin("fx-diff-algebra", horizon=10)
         dual = graded_dual(fx, horizon=10)

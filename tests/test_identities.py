@@ -215,6 +215,14 @@ class TestCompiledPlan:
             assert not cancelling.apply(ex1, label)
             assert doubled.apply(ex1, label) == naive_apply(doubled, ex1, label)
 
+    @pytest.mark.parametrize("steps", [
+        (("delta", 1, None, None), ("permute", (1, 0), ((0, 1),)), ("d", 1, None)),
+        (("project", (0,)), ("delta", 1, None, None)),
+        (("delta", 1, None, None), ("project", (0, 1)), ("permute", (1, 0), ())),
+    ])
+    def test_permute_and_project_only_end_a_branch(self, steps):
+        with pytest.raises(SpecError, match="not a delta or d step"):
+            CoidentityMap(2, ((1, (("delta", 1, None, None),)), (1, steps)))
 
     def test_a_leaf_streams_one_list_into_two_tail_groups(self):
         # delta@1 - permute[2,1] . delta@1, plain and graded: one leaf

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -232,7 +233,8 @@ class TestPermute:
     @given(st.integers(min_value=2, max_value=5).flatmap(_permuted_tensors))
     def test_signed_permutation_equals_graded_flip_chain(self, case):
         perm, t = case
-        once = FormalTensor(t.arity, permute_terms(t.items(), perm, inversions(perm)))
+        pairs = tuple((perm[a], perm[b]) for a, b in inversions(perm))
+        once = FormalTensor(t.arity, permute_terms(t.items(), itemgetter(*perm), pairs))
         # Bubble-sort the destination of each source factor.  Every adjacent
         # swap is one graded flip, and one swap of the raw terms signed here
         # by hand, which does not share the engine's sign routine.
@@ -252,7 +254,7 @@ class TestPermute:
 
     def test_plain_permutation_keeps_signs(self):
         t = FormalTensor(3, {(OD1, OD2, E): 1})
-        plain = FormalTensor(3, permute_terms(t.items(), (1, 0, 2), ()))
+        plain = FormalTensor(3, permute_terms(t.items(), itemgetter(1, 0, 2), ()))
         assert plain == FormalTensor(3, {(OD2, OD1, E): 1})
 
     def test_inversions_name_result_positions(self):

@@ -220,7 +220,7 @@ BASE_TERMS = {
 def doc_with(section=None, **changes):
     data = {"field": "Q", "families": [{"name": "u", "range": [0, None]}]}
     for key, term in BASE_TERMS.items():
-        term = dict(term, **changes) if key == section else term
+        term = dict(term, **changes) if key == section else dict(term)
         data[key] = [{"family": "u", "terms": [term]}]
     return data
 
@@ -275,6 +275,49 @@ def test_term_error_names_its_key_once(section, field, value):
     err = load_error(doc_with(section, **{field: value}))
     assert err.key == f"$.{section}[0].terms[0].{field}"
     assert str(err).count("(key ") == 1
+
+
+def _set(path, **keys):
+    """An edit of a `doc_with` document: add `keys` to the object at `path`."""
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data.update(keys)
+    return edit
+
+
+@pytest.mark.parametrize("edit, key, what", [
+    pytest.param(_set((), gradde=True), "$.gradde", "spec", id="root"),
+    pytest.param(_set(("families", 0), prity=1), "$.families[0].prity", "family", id="family"),
+    pytest.param(_set(("delta", 0), bogus=1), "$.delta[0].bogus", "delta entry", id="delta-entry"),
+    pytest.param(_set(("coderivation", 0), bogus=1), "$.coderivation[0].bogus",
+                 "coderivation entry", id="coderivation-entry"),
+    pytest.param(_set(("delta", 0, "terms", 0), when={"mod": 3, "rem": 1, "eq": 2, "bogus": 1}),
+                 "$.delta[0].terms[0].when.bogus", "guard", id="guard"),
+])
+def test_every_object_rejects_unknown_keys(edit, key, what):
+    data = doc_with()
+    edit(data)
+    err = load_error(data)
+    assert err.key == key
+    assert str(err).startswith(f"unknown key in {what} ")
+
+
+@pytest.mark.parametrize("section", ["delta", "coderivation"])
+def test_guard_with_eq_and_mod_is_refused(section):
+    err = load_error(doc_with(section, when={"mod": 3, "rem": 1, "eq": 2}))
+    assert err.key == f"$.{section}[0].terms[0].when"
+    assert str(err).startswith('guard must carry "eq" or "mod"/"rem", not both ')
+
+
+def test_misspelled_graded_key_is_refused():
+    # Kantor's output is graded: a misspelled key that was dropped would
+    # read it as ungraded, and its cocommutativity check would fail.
+    text = dumps_spec(kantor(builtin("example4")))
+    assert '"graded": true' in text
+    with pytest.raises(SpecFileError) as err:
+        loads_spec(text.replace('"graded"', '"gradde"'))
+    assert err.value.key == "$.gradde"
 
 
 CONSTRUCTED = {
